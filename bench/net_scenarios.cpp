@@ -305,9 +305,11 @@ int main(int argc, char** argv) {
   report.wall_seconds = outcome.wall_seconds;
   report.trials_run = outcome.trials_run;
   std::uint64_t total_events = 0;
+  double total_sim_us = 0.0;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
     const net::NetResult& r = outcome.point_results[i];
     total_events += r.events;
+    total_sim_us += r.elapsed_us;
     std::size_t mpdus = 0;
     for (const net::StaStats& s : r.stations) mpdus += s.mpdus_delivered;
     const net::SlotHist hol = merged_hol(r);
@@ -330,13 +332,16 @@ int main(int argc, char** argv) {
 
   runner::TableSink table;
   table.write(report);
-  // Wall-clock engine throughput: console-only (never in JSON, which the
+  // Wall-clock engine throughput over the whole sweep (every trial of
+  // every point, on all threads): console-only (never in JSON, which the
   // CI byte-compares across thread and fabric counts).
   if (outcome.wall_seconds > 0.0) {
-    std::printf("  engine: %llu calendar events, %.2f M events/s wall\n\n",
-                static_cast<unsigned long long>(total_events),
-                1e-6 * static_cast<double>(total_events) /
-                    outcome.wall_seconds);
+    std::printf(
+        "  engine: %llu calendar events in %.2f s wall: %.0f events/s, "
+        "%.4g simulated s per wall s\n\n",
+        static_cast<unsigned long long>(total_events), outcome.wall_seconds,
+        static_cast<double>(total_events) / outcome.wall_seconds,
+        1e-6 * total_sim_us / outcome.wall_seconds);
   }
   if (args.json) {
     runner::JsonSink(args.json_path).write(report);

@@ -1,5 +1,6 @@
 #include "channel/fading.h"
 
+#include <algorithm>
 #include <cmath>
 #include <mutex>
 #include <numbers>
@@ -25,16 +26,73 @@ double freq_noise_var(double time_noise_var) {
   return kFftSize * time_noise_var;
 }
 
+namespace {
+
+// e^{-j 2 pi k l / 64} for every bin k and tap delay l below the CP
+// length, built once per process with the exact expression the response
+// used to evaluate on every call, so the table changes no result bit.
+using TapTwiddles = std::array<std::array<Cx, kCpLength>, kFftSize>;
+
+const TapTwiddles& tap_twiddles() {
+  static const TapTwiddles table = [] {
+    TapTwiddles t{};
+    for (int k = 0; k < kFftSize; ++k) {
+      for (int l = 0; l < kCpLength; ++l) {
+        const double angle = -2.0 * std::numbers::pi * k *
+                             static_cast<double>(l) / kFftSize;
+        t[static_cast<std::size_t>(k)][static_cast<std::size_t>(l)] =
+            Cx{std::cos(angle), std::sin(angle)};
+      }
+    }
+    return t;
+  }();
+  return table;
+}
+
+// |H_k|^2 on the data subcarriers, in data_subcarrier_bins() order.
+using DataBinGains = std::array<double, kNumDataSubcarriers>;
+
+DataBinGains data_bin_gains(const FadingChannel& channel) {
+  const auto response = channel.frequency_response();
+  DataBinGains gains{};
+  std::size_t i = 0;
+  for (int bin : data_subcarrier_bins()) {
+    gains[i++] = std::norm(response[static_cast<std::size_t>(bin)]);
+  }
+  return gains;
+}
+
+// Clamped harmonic mean of the per-subcarrier SNRs: an aggregate that a
+// faded subcarrier drags down hard, modelling the paper's observation
+// that "the measured SNR is dragged to a low value by those fading
+// subcarriers". Deep notches are clamped near the noise floor: the NIC
+// cannot report a subcarrier as far *worse* than pure noise.
+double measured_snr_db_of(const DataBinGains& gains, double noise_var) {
+  const double n_freq = freq_noise_var(noise_var);
+  double inverse_sum = 0.0;
+  for (const double gain : gains) {
+    const double snr = gain / n_freq;
+    // Notches contribute at most a -5.2 dB reading each: one dead bin
+    // drags the aggregate hard but cannot zero it out.
+    inverse_sum += 1.0 / std::max(snr, 0.3);
+  }
+  return linear_to_db(static_cast<double>(gains.size()) / inverse_sum);
+}
+
+}  // namespace
+
 double noise_var_for_measured_snr(const FadingChannel& channel,
                                   double measured_snr_db) {
   // measured_snr_db(nv) is monotone decreasing in nv but not exactly
   // linear in dB (the per-subcarrier clamp bends it), so bisect on the
-  // noise power in dB.
+  // noise power in dB. The channel's data-bin gains do not depend on nv:
+  // compute them once and run every step on them.
+  const DataBinGains gains = data_bin_gains(channel);
   double lo_db = -80.0, hi_db = 80.0;  // nv = noise_var_for_snr_db(x)
   for (int iter = 0; iter < 60; ++iter) {
     const double mid_db = 0.5 * (lo_db + hi_db);
     const double measured =
-        channel.measured_snr_db(noise_var_for_snr_db(mid_db));
+        measured_snr_db_of(gains, noise_var_for_snr_db(mid_db));
     if (measured > measured_snr_db) {
       hi_db = mid_db;  // too little noise: push the mean SNR down
     } else {
@@ -166,50 +224,28 @@ CxVec FadingChannel::transmit(std::span<const Cx> samples, double noise_var,
 }
 
 std::array<Cx, kFftSize> FadingChannel::frequency_response() const {
+  const TapTwiddles& twiddles = tap_twiddles();
   std::array<Cx, kFftSize> response{};
-  for (int k = 0; k < kFftSize; ++k) {
+  for (std::size_t k = 0; k < response.size(); ++k) {
     Cx acc{0.0, 0.0};
     for (std::size_t l = 0; l < taps_.size(); ++l) {
-      const double angle = -2.0 * std::numbers::pi * k *
-                           static_cast<double>(l) / kFftSize;
-      acc += taps_[l] * Cx{std::cos(angle), std::sin(angle)};
+      acc += taps_[l] * twiddles[k][l];
     }
-    response[static_cast<std::size_t>(k)] = acc;
+    response[k] = acc;
   }
   return response;
 }
 
 double FadingChannel::actual_snr_db(double noise_var) const {
-  const auto response = frequency_response();
+  const DataBinGains gains = data_bin_gains(*this);
   const double n_freq = freq_noise_var(noise_var);
   double sum = 0.0;
-  int count = 0;
-  for (int bin : data_subcarrier_bins()) {
-    sum += std::norm(response[static_cast<std::size_t>(bin)]) / n_freq;
-    ++count;
-  }
-  return linear_to_db(sum / count);
+  for (const double gain : gains) sum += gain / n_freq;
+  return linear_to_db(sum / static_cast<double>(gains.size()));
 }
 
 double FadingChannel::measured_snr_db(double noise_var) const {
-  // Harmonic mean of the per-subcarrier SNRs: an aggregate that a faded
-  // subcarrier drags down hard, modelling the paper's observation that
-  // "the measured SNR is dragged to a low value by those fading
-  // subcarriers". Deep notches are clamped at the noise floor (SNR 1):
-  // the NIC cannot report a subcarrier as *worse* than pure noise.
-  const auto response = frequency_response();
-  const double n_freq = freq_noise_var(noise_var);
-  double inverse_sum = 0.0;
-  int count = 0;
-  for (int bin : data_subcarrier_bins()) {
-    const double snr =
-        std::norm(response[static_cast<std::size_t>(bin)]) / n_freq;
-    // Notches contribute at most a -5 dB reading each: one dead bin
-    // drags the aggregate hard but cannot zero it out.
-    inverse_sum += 1.0 / std::max(snr, 0.3);
-    ++count;
-  }
-  return linear_to_db(count / inverse_sum);
+  return measured_snr_db_of(data_bin_gains(*this), noise_var);
 }
 
 }  // namespace silence

@@ -71,14 +71,16 @@ class FadingChannel {
   // Applies only the multipath FIR (no noise) — used by tests.
   CxVec apply_multipath(std::span<const Cx> samples) const;
 
-  // 64-bin frequency response of the current tap gains.
+  // 64-bin frequency response of the current tap gains (the taps times
+  // a process-lifetime table of e^{-j 2 pi k l / 64}).
   std::array<Cx, kFftSize> frequency_response() const;
 
-  // Arithmetic-mean subcarrier SNR (dB): the "actual SNR" a channel
+  // Arithmetic-mean data-subcarrier SNR (dB): the "actual SNR" a channel
   // sounder would report.
   double actual_snr_db(double noise_var) const;
 
-  // Geometric-mean subcarrier SNR (dB): the NIC-style "measured SNR",
+  // Harmonic-mean data-subcarrier SNR (dB), each subcarrier's SNR
+  // clamped from below at 0.3 (-5.2 dB): the NIC-style "measured SNR",
   // dragged down by deep-faded subcarriers exactly as the paper observes.
   double measured_snr_db(double noise_var) const;
 

@@ -100,6 +100,7 @@ void NetSim::init(const Scenario& scenario, std::uint64_t seed) {
   hol_since_.assign(static_cast<std::size_t>(n), 0.0);
   last_tx_start_.assign(static_cast<std::size_t>(n), -1.0);
   queue_len_.assign(static_cast<std::size_t>(n), 0);
+  fading_cursor_.assign(static_cast<std::size_t>(n), 0);
 
   // Calendar horizon: the run plus slack for the final frame exchange
   // overrunning duration_us (anything further lands in the overflow
@@ -154,10 +155,27 @@ void NetSim::pregenerate_arrivals(std::uint64_t seed) {
   }
 }
 
-void NetSim::advance_members(const BssState& bss, double us, int except) {
-  for (const int i : bss.members) {
-    if (i != except) stations_[static_cast<std::size_t>(i)]->advance(1e-6 * us);
+void NetSim::advance_members(BssState& bss, double us, int except) {
+  bss.fading_steps.push_back(1e-6 * us);
+  if (except < 0) return;
+  std::size_t& cursor = fading_cursor_[static_cast<std::size_t>(except)];
+  if (cursor + 1 != bss.fading_steps.size()) {
+    // Its direct advances would otherwise run ahead of older steps.
+    throw std::logic_error("NetSim: excluded station was not caught up");
   }
+  cursor = bss.fading_steps.size();
+}
+
+Station& NetSim::caught_up(int sta) {
+  const auto s = static_cast<std::size_t>(sta);
+  Station& station = *stations_[s];
+  const std::vector<double>& steps =
+      bss_[static_cast<std::size_t>(station_bss_[s])].fading_steps;
+  std::size_t& cursor = fading_cursor_[s];
+  if (cursor == steps.size()) return station;
+  OBS_COUNT_N("net.fading_steps", steps.size() - cursor);
+  for (; cursor < steps.size(); ++cursor) station.advance(steps[cursor]);
+  return station;
 }
 
 bool NetSim::done() const {
@@ -298,8 +316,7 @@ void NetSim::on_backoff_expiry(int b, double t) {
 
   if (winners.size() == 1) {
     const int w = winners.front();
-    const double air =
-        stations_[static_cast<std::size_t>(w)]->nominal_airtime_us();
+    const double air = caught_up(w).nominal_airtime_us();
     const double tail = kSifsUs + ack_airtime_us();
     bss.winner = w;
     bss.tx_start = t;
@@ -312,13 +329,13 @@ void NetSim::on_backoff_expiry(int b, double t) {
     // runs out inside the winner's PPDU.
     for (const int h : bss.contenders) {
       if (h == w) continue;
-      Station& hidden = *stations_[static_cast<std::size_t>(h)];
-      const int residual = hidden.backoff().counter();
+      const int residual =
+          stations_[static_cast<std::size_t>(h)]->backoff().counter();
       if (residual <= 0) continue;
       if (scenario_.topology.hears(h, w)) continue;
       const double t_fire = t + residual * kSlotUs;
       if (t_fire < t + air) {
-        bss.blind.push_back({h, t_fire, hidden.nominal_airtime_us()});
+        bss.blind.push_back({h, t_fire, caught_up(h).nominal_airtime_us()});
       }
     }
     prune_intervals(t);
@@ -346,8 +363,7 @@ void NetSim::on_backoff_expiry(int b, double t) {
   // then every collider times out waiting for its (block-)ACK.
   double longest = 0.0;
   for (const int i : winners) {
-    longest = std::max(
-        longest, stations_[static_cast<std::size_t>(i)]->nominal_airtime_us());
+    longest = std::max(longest, caught_up(i).nominal_airtime_us());
   }
   const double busy = longest + kSifsUs + ack_airtime_us();
   const double busy_start = t;
@@ -456,9 +472,10 @@ void NetSim::on_tx_end(int b, double t) {
     interferer = pulse;
   }
 
-  // The session advances the winner's own link by the frame airtime;
-  // everyone else catches up below.
-  const Station::TxOutcome tx = stations_[ws]->transmit(interferer);
+  // The session advances the winner's own link by the frame airtime, and
+  // the SIFS+ACK tail below is direct too; everyone else gets the
+  // exchange as one logged step.
+  const Station::TxOutcome tx = caught_up(w).transmit(interferer);
   if (tx.data_airtime_us != bss.air_us) {
     // TxEnd was scheduled off nominal_airtime_us(); nothing may advance
     // the winner's link between expiry and here, so the actual airtime

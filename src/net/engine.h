@@ -38,6 +38,18 @@
 //    delay flows into the existing hol_wait_slots percentiles (the HOL
 //    clock starts when a frame reaches the head of an empty queue).
 //
+// Fading is advanced lazily. Every stretch of medium time a cell's
+// members live through (idle, an exchange, a collision, a dormant gap)
+// is appended to that BSS's step log instead of being applied to each
+// member at once. A station replays the steps it has not yet seen, in
+// order, through one accessor (caught_up) right before its channel is
+// read: the airtime lookup at backoff expiry and transmit(). Each
+// channel thus sees the same advance() calls, in the same order and on
+// its own RNG, as if every member were advanced at every step, so every
+// read returns the same bits; steps a station never needs again (it
+// stops contending, or the run ends) are never replayed. The winner's
+// own frame airtime and SIFS+ACK advances stay direct.
+//
 // Determinism: the calendar queue pops in (timestamp, kind, bss, sta,
 // FIFO) order and every handler is sequential, so the whole simulation
 // is a pure function of (scenario, seed) at any thread or fabric count.
@@ -127,6 +139,11 @@ class NetSim {
     double obss_frac = 0.0;
     double obss_raw_us = 0.0;
     std::vector<BlindFire> blind;
+    // Fading steps (seconds) owed to every member, in the order the
+    // medium time passed; fading_cursor_ marks how far each member has
+    // replayed. One entry per idle stretch, exchange, collision,
+    // blind-fire extension or dormant gap, kept for the whole run.
+    std::vector<double> fading_steps;
     bool dormant = false;
     bool wake_pending = false;
     double dormant_since = 0.0;
@@ -154,7 +171,13 @@ class NetSim {
   bool has_frame(int sta) const {
     return saturated_ || queue_len_[static_cast<std::size_t>(sta)] > 0;
   }
-  void advance_members(const BssState& bss, double us, int except);
+  // Logs `us` of medium time that every member of `bss` lives through.
+  // `except` (or -1) is a member that was just caught up and advanced
+  // directly through the same stretch; its cursor skips the new step.
+  void advance_members(BssState& bss, double us, int except);
+  // The one way to a station whose channel is about to be read: replays
+  // its BSS's logged steps past its cursor, in order, then returns it.
+  Station& caught_up(int sta);
   // Credits `victim`'s in-flight exchange with its channel-weighted
   // overlap against `iv` (no-op when the weight or overlap is zero).
   void accumulate_overlap(BssState& victim, const TxInterval& iv);
@@ -180,6 +203,8 @@ class NetSim {
   std::vector<double> hol_since_;
   std::vector<double> last_tx_start_;
   std::vector<std::size_t> queue_len_;
+  // Per station: how many of its BSS's fading_steps it has replayed.
+  std::vector<std::size_t> fading_cursor_;
   std::vector<TxInterval> live_tx_;
   NetResult result_;
   double now_us_ = 0.0;

@@ -43,7 +43,10 @@ class Station {
   // Builds this round's A-MPDU (fresh payloads + the next control
   // chunk), sends it through the CosSession and updates the station's
   // tallies and backoff. The session advances this station's own link
-  // by the frame airtime; the scheduler advances everything else.
+  // by the frame airtime. All other medium time reaches the link through
+  // advance(): the scheduler replays its cell's logged steps before each
+  // read of this link (NetSim::caught_up), and advances the SIFS+ACK
+  // tail after a won exchange directly.
   // `interferer`, when set, injects pulse interference (OBSS overlap or
   // a hidden terminal's blind fire) into this one exchange; the link is
   // restored to interference-free afterwards. When unset, the RNG
@@ -64,11 +67,13 @@ class Station {
   }
 
   // Airtime its next PPDU would occupy, at the rate the session would
-  // pick right now. Collisions are charged this much medium time without
+  // pick right now (which reads the link's measured SNR unless the rate
+  // is fixed). Collisions are charged this much medium time without
   // running the PHY (matching mac/contention.cpp).
   double nominal_airtime_us() const;
 
-  // Advances the fading process by `seconds` of other-station airtime.
+  // Advances the fading process by `seconds` of medium time this
+  // station did not spend transmitting its own frame.
   void advance(double seconds) { link_.advance(seconds); }
 
   Backoff& backoff() { return backoff_; }

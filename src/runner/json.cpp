@@ -408,16 +408,22 @@ void Json::write(std::string& out, int indent, int depth) const {
       value_);
 }
 
+// Both dumps return right-sized strings: appending grows the buffer
+// geometrically, so without the shrink a large document (a 1024-station
+// NetResult is ~300 KB) could keep nearly its own size again in slack
+// for as long as the caller holds it.
 std::string Json::dump() const {
   std::string out;
   write(out, 2, 0);
   out += '\n';
+  out.shrink_to_fit();
   return out;
 }
 
 std::string Json::dump_compact() const {
   std::string out;
   write(out, 0, 0);
+  out.shrink_to_fit();
   return out;
 }
 

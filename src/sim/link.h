@@ -2,6 +2,7 @@
 // interference, with the SNR bookkeeping the experiments need.
 #pragma once
 
+#include <memory>
 #include <optional>
 
 #include "channel/fading.h"
@@ -62,7 +63,10 @@ class Link {
   Rng rng_;
   double noise_var_;
   std::optional<PulseInterferer> interferer_;
-  std::optional<RadioImpairments> radio_;
+  // Heap-held and created only when LinkConfig::impairments is set: its
+  // Rng alone is ~2.5 KB, which every net::Station would otherwise carry
+  // unused.
+  std::unique_ptr<RadioImpairments> radio_;
 };
 
 // Builds a test PSDU of `total_octets` (>= 5): random payload with the

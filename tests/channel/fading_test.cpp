@@ -1,13 +1,105 @@
 #include "channel/fading.h"
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
+#include <numbers>
 
 #include "common/db.h"
 #include "common/rng.h"
 
 namespace silence {
 namespace {
+
+// Oracle: the response and SNR aggregates exactly as fading.cpp computed
+// them before the twiddle table and the shared data-bin gain helper —
+// sin/cos evaluated per call, and a full response rebuilt on every
+// bisection step. The production code must match it to the last bit.
+std::array<Cx, kFftSize> oracle_response(std::span<const Cx> taps) {
+  std::array<Cx, kFftSize> response{};
+  for (int k = 0; k < kFftSize; ++k) {
+    Cx acc{0.0, 0.0};
+    for (std::size_t l = 0; l < taps.size(); ++l) {
+      const double angle = -2.0 * std::numbers::pi * k *
+                           static_cast<double>(l) / kFftSize;
+      acc += taps[l] * Cx{std::cos(angle), std::sin(angle)};
+    }
+    response[static_cast<std::size_t>(k)] = acc;
+  }
+  return response;
+}
+
+double oracle_actual_snr_db(std::span<const Cx> taps, double noise_var) {
+  const auto response = oracle_response(taps);
+  const double n_freq = freq_noise_var(noise_var);
+  double sum = 0.0;
+  int count = 0;
+  for (int bin : data_subcarrier_bins()) {
+    sum += std::norm(response[static_cast<std::size_t>(bin)]) / n_freq;
+    ++count;
+  }
+  return linear_to_db(sum / count);
+}
+
+double oracle_measured_snr_db(std::span<const Cx> taps, double noise_var) {
+  const auto response = oracle_response(taps);
+  const double n_freq = freq_noise_var(noise_var);
+  double inverse_sum = 0.0;
+  int count = 0;
+  for (int bin : data_subcarrier_bins()) {
+    const double snr =
+        std::norm(response[static_cast<std::size_t>(bin)]) / n_freq;
+    inverse_sum += 1.0 / std::max(snr, 0.3);
+    ++count;
+  }
+  return linear_to_db(count / inverse_sum);
+}
+
+double oracle_noise_var_for_measured_snr(std::span<const Cx> taps,
+                                         double measured_snr_db) {
+  double lo_db = -80.0, hi_db = 80.0;
+  for (int iter = 0; iter < 60; ++iter) {
+    const double mid_db = 0.5 * (lo_db + hi_db);
+    const double measured =
+        oracle_measured_snr_db(taps, noise_var_for_snr_db(mid_db));
+    if (measured > measured_snr_db) {
+      hi_db = mid_db;
+    } else {
+      lo_db = mid_db;
+    }
+  }
+  return noise_var_for_snr_db(0.5 * (lo_db + hi_db));
+}
+
+// EXPECT_EQ on doubles, not NEAR: any drift in a last bit would move
+// every measured-SNR placement and with it every network result.
+TEST(Fading, ResponseAndSnrAreBitExactAgainstPerCallOracle) {
+  for (int num_taps = 1; num_taps <= kCpLength; ++num_taps) {
+    MultipathProfile profile;
+    profile.num_taps = num_taps;
+    for (const std::uint64_t seed : {1u, 7u, 1234u}) {
+      FadingChannel channel(profile, seed);
+      channel.advance(2e-3);  // leave the construction-time realization
+      const std::span<const Cx> taps = channel.taps();
+      const auto response = channel.frequency_response();
+      const auto expected = oracle_response(taps);
+      for (std::size_t k = 0; k < response.size(); ++k) {
+        ASSERT_EQ(response[k], expected[k])
+            << "taps " << num_taps << " seed " << seed << " bin " << k;
+      }
+      for (int tenth_db = -50; tenth_db <= 400; tenth_db += 45) {
+        const double target = 0.1 * tenth_db;
+        const double nv = noise_var_for_measured_snr(channel, target);
+        EXPECT_EQ(nv, oracle_noise_var_for_measured_snr(taps, target))
+            << "taps " << num_taps << " seed " << seed << " target "
+            << target;
+        EXPECT_EQ(channel.measured_snr_db(nv),
+                  oracle_measured_snr_db(taps, nv));
+        EXPECT_EQ(channel.actual_snr_db(nv), oracle_actual_snr_db(taps, nv));
+      }
+    }
+  }
+}
 
 TEST(Fading, NoiseVarConvention) {
   // At 0 dB mean subcarrier SNR through a unit channel, the per-bin
@@ -83,7 +175,7 @@ TEST(Fading, FrequencySelectivityExists) {
 }
 
 TEST(Fading, MeasuredSnrBelowActualSnr) {
-  // Geometric mean <= arithmetic mean: the NIC-style estimate is dragged
+  // Harmonic mean <= arithmetic mean: the NIC-style estimate is dragged
   // down by faded subcarriers (paper Fig. 2).
   MultipathProfile profile;
   for (int seed = 0; seed < 20; ++seed) {

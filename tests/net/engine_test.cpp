@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -91,6 +93,84 @@ TEST(NetEngine, ReproducesLegacySlottedLoopByteForByte) {
             kGolden2StaFixedRate);
   EXPECT_EQ(legacy_view(run_scenario(golden_scenario_8sta(), 11)),
             kGolden8Sta);
+}
+
+// 64-bit FNV-1a of a result's full JSON, in hex: pins a large NetResult
+// in one constant.
+std::string digest(const NetResult& r) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : r.to_json().dump_compact()) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+// Both scenarios below adapt the rate, so every airtime lookup at backoff
+// expiry reads the station's channel, and fade 20x faster than walking
+// speed, so a read that missed some of the medium time would often pick
+// a different rate.
+constexpr double kFastDopplerHz = 300.0;
+
+// A 256-station saturated cell. (256 stations is the most the station
+// seed families keep independent.)
+Scenario dense_cell_256() {
+  Scenario sc;
+  sc.topology.bss[0].num_stations = 256;
+  sc.profile.doppler_hz = kFastDopplerHz;
+  sc.duration_us = 40e3;
+  return sc;
+}
+
+// Two co-channel cells under Poisson load. Cell 0's near (30 dB) and far
+// (8 dB) stations cannot hear each other, so the slow far station's
+// blind fires outlive the fast near station's exchanges and extend the
+// round; between arrivals the cells fall dormant. Every kind of medium
+// time the engine logs for a cell's members occurs.
+Scenario hidden_poisson_two_bss() {
+  Scenario sc;
+  sc.profile.doppler_hz = kFastDopplerHz;
+  sc.topology.bss.clear();
+  sc.topology.bss.push_back({.channel = 36, .num_stations = 4,
+                             .snr_db_near = 30.0, .snr_db_far = 8.0});
+  sc.topology.bss.push_back({.channel = 36, .num_stations = 3});
+  const int n = 7;
+  sc.topology.carrier_sense.assign(n * n, 1);
+  sc.topology.carrier_sense[0 * n + 3] = 0;
+  sc.topology.carrier_sense[3 * n + 0] = 0;
+  sc.traffic.kind = TrafficModel::Kind::kPoisson;
+  sc.traffic.arrival_rate_fps = 300.0;
+  sc.duration_us = 60e3;
+  return sc;
+}
+
+// Fading is advanced lazily (net/engine.h): a station replays its cell's
+// logged steps only when its channel is read. These digests were
+// captured from the engine that still advanced every member's channel
+// eagerly at each step; any change to a channel's advance() sequence
+// moves them.
+TEST(NetEngine, LazyFadingMatchesEagerGoldenDenseCell) {
+  EXPECT_EQ(digest(run_scenario(dense_cell_256(), 21)), "2fecabd5b5d91bdb");
+}
+
+TEST(NetEngine, LazyFadingMatchesEagerGoldenHiddenPoissonTwoBss) {
+  const Scenario sc = hidden_poisson_two_bss();
+  EXPECT_EQ(digest(run_scenario(sc, 13)), "10a1fa60f7151944");
+#if SILENCE_OBS_ON
+  obs::Registry::global().reset();
+  (void)run_scenario(sc, 13);
+  const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
+  const auto* fires = snap.counter("net.hidden_fires");
+  ASSERT_NE(fires, nullptr);
+  EXPECT_GT(fires->value, 0u);
+  const auto* steps = snap.counter("net.fading_steps");
+  ASSERT_NE(steps, nullptr);
+  EXPECT_GT(steps->value, 0u);
+  obs::Registry::global().reset();
+#endif
 }
 
 // The flat pre-topology scenario schema must keep parsing through the
