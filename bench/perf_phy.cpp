@@ -1,6 +1,7 @@
 // PHY throughput microbenchmarks (google-benchmark): the hot paths of the
 // simulator — FFT, Viterbi decoding, the full transmit and receive chains,
-// and the CoS additions (energy detection, silence planning).
+// the CoS additions (energy detection, silence planning) and the
+// channel's AWGN sampler.
 //
 // Besides the console table, every run writes `results/BENCH_phy.json`
 // (per-stage ns/op and items/sec) through the runner's JSON sink so PRs
@@ -11,7 +12,9 @@
 // obs metrics registry. `--trace FILE` dumps a Chrome trace of the run.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <cstring>
+#include <random>
 #include <string>
 
 #include "channel/fading.h"
@@ -238,6 +241,45 @@ void BM_FadingChannelTransmit(benchmark::State& state) {
                           static_cast<long>(samples.size()));
 }
 BENCHMARK(BM_FadingChannelTransmit);
+
+// The AWGN sampler against the libstdc++ stack whose stream it
+// reproduces bit for bit. The reference loop exists only as the
+// denominator of CI's same-run ratio gate; nothing in the simulator draws
+// from the standard engine or distributions.
+constexpr std::size_t kGaussianFillSamples = 4096;
+constexpr double kGaussianFillVariance = 0.5;
+
+void BM_ComplexGaussianFill(benchmark::State& state) {
+  Rng rng(11);
+  CxVec samples(kGaussianFillSamples);
+  for (auto _ : state) {
+    rng.add_complex_gaussian(samples, kGaussianFillVariance);
+    benchmark::DoNotOptimize(samples.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(samples.size()));
+}
+BENCHMARK(BM_ComplexGaussianFill);
+
+void BM_ComplexGaussianStdlib(benchmark::State& state) {
+  std::mt19937_64 engine(11);
+  std::normal_distribution<double> normal(0.0, 1.0);
+  CxVec samples(kGaussianFillSamples);
+  const double sigma = std::sqrt(kGaussianFillVariance / 2.0);
+  for (auto _ : state) {
+    for (Cx& x : samples) {
+      const double re = sigma * normal(engine);
+      const double im = sigma * normal(engine);
+      x += Cx{re, im};
+    }
+    benchmark::DoNotOptimize(samples.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(samples.size()));
+}
+BENCHMARK(BM_ComplexGaussianStdlib);
 
 // Lane-batched fixed-point Viterbi vs the scalar kernel it extends:
 // 8 identical-length lanes decoded lockstep.

@@ -155,8 +155,9 @@ namespace {
 // process-global `signgam` — concurrent sweep trials advancing their own
 // channels race on it (TSan-visible). The return value never depends on
 // signgam, so serializing the call fixes the race without changing any
-// result bit. advance() runs once per packet, not per sample, so the lock
-// is off every hot path.
+// result bit. Only step() calls it, once per step built: a link builds
+// one per packet, and the net engine one per logged step, which every
+// member then replays without J0.
 double bessel_j0(double x) {
   static std::mutex mu;
   const std::scoped_lock lock(mu);
@@ -165,17 +166,30 @@ double bessel_j0(double x) {
 
 }  // namespace
 
-void FadingChannel::advance(double seconds) {
-  if (seconds <= 0.0) return;
+FadingStep FadingChannel::step(double seconds) const {
+  FadingStep s;
+  if (seconds <= 0.0) return s;
   const double x =
       2.0 * std::numbers::pi * profile_.doppler_hz * seconds;
   // Jakes autocorrelation J0(x), clamped to [0, 1): beyond the first null
   // the process is effectively decorrelated.
-  const double rho = std::max(0.0, bessel_j0(x));
-  const double innovation = 1.0 - rho * rho;
+  s.num_taps = static_cast<int>(scatter_.size());
+  s.rho = std::max(0.0, bessel_j0(x));
+  const double innovation = 1.0 - s.rho * s.rho;
   for (std::size_t l = 0; l < scatter_.size(); ++l) {
-    scatter_[l] = rho * scatter_[l] +
-                  rng_.complex_gaussian(innovation * scatter_var_[l]);
+    // complex_gaussian(innovation * var)'s sigma, expression for
+    // expression.
+    s.sigma[l] = std::sqrt(innovation * scatter_var_[l] / 2.0);
+  }
+  return s;
+}
+
+void FadingChannel::advance(const FadingStep& step) {
+  if (step.num_taps == 0) return;
+  for (std::size_t l = 0; l < scatter_.size(); ++l) {
+    const double re = step.sigma[l] * rng_.gaussian();
+    const double im = step.sigma[l] * rng_.gaussian();
+    scatter_[l] = step.rho * scatter_[l] + Cx{re, im};
   }
   rebuild_taps();
 }
@@ -218,7 +232,7 @@ CxVec FadingChannel::transmit(std::span<const Cx> samples, double noise_var,
                  taps_[l].imag(), 0);
   }
   CxVec out = apply_multipath(samples);
-  for (auto& x : out) x += noise_rng.complex_gaussian(noise_var);
+  noise_rng.add_complex_gaussian(out, noise_var);
   OBS_COUNT_N("chan.apply.items", out.size());
   return out;
 }

@@ -45,6 +45,17 @@ double freq_noise_var(double time_noise_var);
 
 class FadingChannel;
 
+// The coefficients of one Gauss-Markov fading step of a given length: the
+// Jakes correlation rho = max(0, J0(2 pi fd t)) and each tap's innovation
+// standard deviation. They depend only on the profile, so a step built by
+// one channel advances every channel of the same profile, and a caller
+// that applies one step to many channels computes J0 once.
+struct FadingStep {
+  int num_taps = 0;  // 0 marks a step of length <= 0, which draws nothing
+  double rho = 0.0;
+  std::array<double, kCpLength> sigma{};
+};
+
 // Per-sample noise variance that makes `channel`'s NIC-style measured SNR
 // equal `measured_snr_db` for its *current* tap realization. Experiments
 // sweep measured SNR (the paper's x axis), which this helper pins down
@@ -61,7 +72,12 @@ class FadingChannel {
   // Advances the scattered tap components by `seconds` of walking-speed
   // motion using the Gauss-Markov approximation of Jakes fading
   // (correlation rho = J0(2*pi*fd*dt)).
-  void advance(double seconds);
+  void advance(double seconds) { advance(step(seconds)); }
+
+  // The step advance(seconds) applies, and applying one. `step` must come
+  // from a channel with this channel's profile.
+  FadingStep step(double seconds) const;
+  void advance(const FadingStep& step);
 
   // Convolves samples with the tap gains and adds AWGN of per-sample
   // variance `noise_var`.

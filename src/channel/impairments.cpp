@@ -26,7 +26,7 @@ CxVec RadioImpairments::apply(std::span<const Cx> samples) {
     mean_power /= static_cast<double>(out.size());
     const double error_var =
         profile_.tx_evm_floor * profile_.tx_evm_floor * mean_power;
-    for (Cx& x : out) x += rng_.complex_gaussian(error_var);
+    rng_.add_complex_gaussian(out, error_var);
   }
 
   const double cfo_step =

@@ -74,6 +74,15 @@ void NetSim::init(const Scenario& scenario, std::uint64_t seed) {
         phy_batch_.get()));
     station_bss_.push_back(scenario_.topology.station_bss(i));
   }
+  // One fading step per logged stretch is built from one member's
+  // channel and replayed on every member (advance_members), which is
+  // exact only while all channels share a profile: link_config_for gives
+  // every station scenario.profile.
+  for (const auto& station : stations_) {
+    if (station->channel().profile() != scenario_.profile) {
+      throw std::logic_error("NetSim: station fading profile differs");
+    }
+  }
   bss_.resize(scenario_.topology.bss.size());
   for (std::size_t b = 0; b < bss_.size(); ++b) {
     bss_[b].channel = scenario_.topology.bss[b].channel;
@@ -156,7 +165,10 @@ void NetSim::pregenerate_arrivals(std::uint64_t seed) {
 }
 
 void NetSim::advance_members(BssState& bss, double us, int except) {
-  bss.fading_steps.push_back(1e-6 * us);
+  bss.fading_steps.push_back(
+      stations_[static_cast<std::size_t>(bss.members.front())]
+          ->channel()
+          .step(1e-6 * us));
   if (except < 0) return;
   std::size_t& cursor = fading_cursor_[static_cast<std::size_t>(except)];
   if (cursor + 1 != bss.fading_steps.size()) {
@@ -169,7 +181,7 @@ void NetSim::advance_members(BssState& bss, double us, int except) {
 Station& NetSim::caught_up(int sta) {
   const auto s = static_cast<std::size_t>(sta);
   Station& station = *stations_[s];
-  const std::vector<double>& steps =
+  const std::vector<FadingStep>& steps =
       bss_[static_cast<std::size_t>(station_bss_[s])].fading_steps;
   std::size_t& cursor = fading_cursor_[s];
   if (cursor == steps.size()) return station;
@@ -582,6 +594,8 @@ NetResult NetSim::result() {
       result_.stations.push_back(stats);
     }
     obs::health::maybe_trace_counters();
+    // Nothing reads a channel once the run is over: drop the replay logs.
+    for (BssState& bss : bss_) bss.fading_steps = std::vector<FadingStep>();
     finalized_ = true;
   }
   return result_;

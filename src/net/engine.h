@@ -41,11 +41,15 @@
 // Fading is advanced lazily. Every stretch of medium time a cell's
 // members live through (idle, an exchange, a collision, a dormant gap)
 // is appended to that BSS's step log instead of being applied to each
-// member at once. A station replays the steps it has not yet seen, in
-// order, through one accessor (caught_up) right before its channel is
-// read: the airtime lookup at backoff expiry and transmit(). Each
-// channel thus sees the same advance() calls, in the same order and on
-// its own RNG, as if every member were advanced at every step, so every
+// member at once. A log entry is a FadingStep: the stretch's Jakes
+// correlation and per-tap innovation sigmas, built once from one
+// member's channel (every station has the scenario's profile, checked
+// in init), so a replay draws its Gaussians without recomputing J0. A
+// station replays the steps it has not yet seen, in order, through one
+// accessor (caught_up) right before its channel is read: the airtime
+// lookup at backoff expiry and transmit(). Each channel thus draws the
+// same Gaussians, in the same order and on its own RNG, with the same
+// coefficients as if every member were advanced at every step, so every
 // read returns the same bits; steps a station never needs again (it
 // stops contending, or the run ends) are never replayed. The winner's
 // own frame airtime and SIFS+ACK advances stay direct.
@@ -139,11 +143,12 @@ class NetSim {
     double obss_frac = 0.0;
     double obss_raw_us = 0.0;
     std::vector<BlindFire> blind;
-    // Fading steps (seconds) owed to every member, in the order the
-    // medium time passed; fading_cursor_ marks how far each member has
-    // replayed. One entry per idle stretch, exchange, collision,
-    // blind-fire extension or dormant gap, kept for the whole run.
-    std::vector<double> fading_steps;
+    // Fading steps owed to every member, in the order the medium time
+    // passed, each holding its coefficients (rho and per-tap sigma);
+    // fading_cursor_ marks how far each member has replayed. One entry
+    // per idle stretch, exchange, collision, blind-fire extension or
+    // dormant gap, kept until the run is finalized.
+    std::vector<FadingStep> fading_steps;
     bool dormant = false;
     bool wake_pending = false;
     double dormant_since = 0.0;
@@ -171,9 +176,10 @@ class NetSim {
   bool has_frame(int sta) const {
     return saturated_ || queue_len_[static_cast<std::size_t>(sta)] > 0;
   }
-  // Logs `us` of medium time that every member of `bss` lives through.
-  // `except` (or -1) is a member that was just caught up and advanced
-  // directly through the same stretch; its cursor skips the new step.
+  // Logs `us` of medium time that every member of `bss` lives through,
+  // as one step built from its first member's channel. `except` (or -1)
+  // is a member that was just caught up and advanced directly through
+  // the same stretch; its cursor skips the new step.
   void advance_members(BssState& bss, double us, int except);
   // The one way to a station whose channel is about to be read: replays
   // its BSS's logged steps past its cursor, in order, then returns it.

@@ -44,9 +44,10 @@ class Station {
   // chunk), sends it through the CosSession and updates the station's
   // tallies and backoff. The session advances this station's own link
   // by the frame airtime. All other medium time reaches the link through
-  // advance(): the scheduler replays its cell's logged steps before each
-  // read of this link (NetSim::caught_up), and advances the SIFS+ACK
-  // tail after a won exchange directly.
+  // advance(): the scheduler replays its cell's logged fading steps, each
+  // built once with its coefficients, before each read of this link
+  // (NetSim::caught_up), and advances the SIFS+ACK tail after a won
+  // exchange directly.
   // `interferer`, when set, injects pulse interference (OBSS overlap or
   // a hidden terminal's blind fire) into this one exchange; the link is
   // restored to interference-free afterwards. When unset, the RNG
@@ -73,8 +74,13 @@ class Station {
   double nominal_airtime_us() const;
 
   // Advances the fading process by `seconds` of medium time this
-  // station did not spend transmitting its own frame.
+  // station did not spend transmitting its own frame, or by a logged
+  // step built from any station's channel (they all share the
+  // scenario's profile).
   void advance(double seconds) { link_.advance(seconds); }
+  void advance(const FadingStep& step) { link_.advance(step); }
+
+  const FadingChannel& channel() const { return link_.channel(); }
 
   Backoff& backoff() { return backoff_; }
   const Backoff& backoff() const { return backoff_; }

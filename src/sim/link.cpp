@@ -15,8 +15,7 @@ Link::Link(const LinkConfig& config)
                      : noise_var_for_snr_db(config.snr_db)),
       interferer_(config.interferer) {
   if (config.impairments) {
-    radio_ = std::make_unique<RadioImpairments>(*config.impairments,
-                                                config.noise_seed ^ 0x5117u);
+    radio_.emplace(*config.impairments, config.noise_seed ^ 0x5117u);
   }
 }
 

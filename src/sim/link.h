@@ -2,7 +2,6 @@
 // interference, with the SNR bookkeeping the experiments need.
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "channel/fading.h"
@@ -35,8 +34,10 @@ class Link {
   // impairments. Callers model mobility explicitly via advance().
   CxVec send(std::span<const Cx> samples);
 
-  // Advances the fading process by `seconds` (e.g. inter-packet gaps).
+  // Advances the fading process by `seconds` (e.g. inter-packet gaps), or
+  // by a step built by a channel of the same profile.
   void advance(double seconds) { channel_.advance(seconds); }
+  void advance(const FadingStep& step) { channel_.advance(step); }
 
   // Replaces the pulse interference applied to subsequent send() calls;
   // nullopt removes it. The net engine uses this to inject transient
@@ -63,10 +64,7 @@ class Link {
   Rng rng_;
   double noise_var_;
   std::optional<PulseInterferer> interferer_;
-  // Heap-held and created only when LinkConfig::impairments is set: its
-  // Rng alone is ~2.5 KB, which every net::Station would otherwise carry
-  // unused.
-  std::unique_ptr<RadioImpairments> radio_;
+  std::optional<RadioImpairments> radio_;
 };
 
 // Builds a test PSDU of `total_octets` (>= 5): random payload with the

@@ -110,8 +110,10 @@ PacketReport CosSession::send_packet(
         HEALTH_NABLA_EVM(obs::health::quantize(
             evm_change(*prev_evm_, report.rx.evm),
             obs::health::kNablaEvmScale));
+        *prev_evm_ = report.rx.evm;
+      } else {
+        prev_evm_ = std::make_unique<SubcarrierEvm>(report.rx.evm);
       }
-      prev_evm_ = report.rx.evm;
     }
 #endif
     if (config_.use_selection_feedback) {

@@ -4,6 +4,7 @@
 // fallback to the lowest control rate when feedback is lost.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -68,8 +69,10 @@ class CosSession {
   bool have_feedback_ = false;
 #if SILENCE_OBS_ON
   // Previous decoded round's EVM snapshot, for the health layer's
-  // nabla-EVM drift series (paper Eq. 2 between feedback rounds).
-  std::optional<SubcarrierEvm> prev_evm_;
+  // nabla-EVM drift series (paper Eq. 2 between feedback rounds). Held
+  // on the heap: it is 384 B, and in a dense cell most sessions never
+  // decode a packet.
+  std::unique_ptr<SubcarrierEvm> prev_evm_;
 #endif
 
   int desired_control_subcarriers(int silence_budget, int num_symbols) const;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <gtest/gtest.h>
 #include <numbers>
+#include <string>
+#include <vector>
 
 #include "common/db.h"
 #include "common/rng.h"
@@ -69,6 +71,176 @@ double oracle_noise_var_for_measured_snr(std::span<const Cx> taps,
     }
   }
   return noise_var_for_snr_db(0.5 * (lo_db + hi_db));
+}
+
+// Oracle: the channel's construction and its advance() exactly as they
+// were before steps were split out — J0 on every call, a
+// complex_gaussian per tap — and transmit()'s per-sample noise loop.
+class OracleChannel {
+ public:
+  OracleChannel(const MultipathProfile& profile, std::uint64_t seed)
+      : profile_(profile), rng_(seed) {
+    const auto n = static_cast<std::size_t>(profile_.num_taps);
+    std::vector<double> power(n);
+    double total = 0.0;
+    for (std::size_t l = 0; l < n; ++l) {
+      power[l] = std::exp(-static_cast<double>(l) / profile_.decay_taps);
+      total += power[l];
+    }
+    for (auto& p : power) p /= total;
+    los_.assign(n, Cx{0.0, 0.0});
+    scatter_.assign(n, Cx{0.0, 0.0});
+    scatter_var_.assign(n, 0.0);
+    const bool all_static = profile_.k_all_taps_linear > 0.0;
+    const double k0 = profile_.rician_k_linear;
+    for (std::size_t l = 0; l < n; ++l) {
+      const double k = all_static ? profile_.k_all_taps_linear
+                                  : (l == 0 ? k0 : 0.0);
+      if (k > 0.0) {
+        const double los_power = power[l] * k / (k + 1.0);
+        scatter_var_[l] = power[l] / (k + 1.0);
+        const double phase = 2.0 * std::numbers::pi * rng_.uniform();
+        los_[l] = std::sqrt(los_power) * Cx{std::cos(phase), std::sin(phase)};
+      } else {
+        scatter_var_[l] = power[l];
+      }
+      scatter_[l] = rng_.complex_gaussian(scatter_var_[l]);
+    }
+  }
+
+  void advance(double seconds) {
+    if (seconds <= 0.0) return;
+    const double x = 2.0 * std::numbers::pi * profile_.doppler_hz * seconds;
+    const double rho = std::max(0.0, std::cyl_bessel_j(0.0, x));
+    const double innovation = 1.0 - rho * rho;
+    for (std::size_t l = 0; l < scatter_.size(); ++l) {
+      scatter_[l] = rho * scatter_[l] +
+                    rng_.complex_gaussian(innovation * scatter_var_[l]);
+    }
+  }
+
+  CxVec taps() const {
+    CxVec t(los_.size());
+    for (std::size_t l = 0; l < t.size(); ++l) t[l] = los_[l] + scatter_[l];
+    return t;
+  }
+
+ private:
+  MultipathProfile profile_;
+  Rng rng_;
+  CxVec los_, scatter_;
+  std::vector<double> scatter_var_;
+};
+
+void expect_taps_eq(const FadingChannel& channel, const OracleChannel& oracle,
+                    const std::string& where) {
+  const CxVec expected = oracle.taps();
+  ASSERT_EQ(channel.taps().size(), expected.size()) << where;
+  for (std::size_t l = 0; l < expected.size(); ++l) {
+    EXPECT_EQ(channel.taps()[l], expected[l]) << where << " tap " << l;
+  }
+}
+
+// 0 and -1 us draw nothing; 30 ms is past J0's first null at 15 Hz
+// (2 pi fd t = 2.83 > 2.405), where rho clamps to 0.
+constexpr double kStepSeconds[] = {0.0, -1e-6, 9e-6, 1e-3, 30e-3, 9e-6};
+
+std::vector<MultipathProfile> oracle_profiles() {
+  std::vector<MultipathProfile> profiles;
+  for (int num_taps = 1; num_taps <= kCpLength; ++num_taps) {
+    for (const double k_all : {0.0, 10.0}) {
+      MultipathProfile profile;
+      profile.num_taps = num_taps;
+      profile.k_all_taps_linear = k_all;
+      profiles.push_back(profile);
+    }
+  }
+  return profiles;
+}
+
+TEST(Fading, AdvanceAndStepAreBitExactAgainstPerCallOracle) {
+  for (const MultipathProfile& profile : oracle_profiles()) {
+    for (const std::uint64_t seed : {3u, 77u}) {
+      FadingChannel by_seconds(profile, seed), by_step(profile, seed);
+      OracleChannel oracle(profile, seed);
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const double seconds : kStepSeconds) {
+          const std::string where =
+              "taps " + std::to_string(profile.num_taps) + " k_all " +
+              std::to_string(profile.k_all_taps_linear) + " seed " +
+              std::to_string(seed) + " step " + std::to_string(seconds);
+          by_seconds.advance(seconds);
+          by_step.advance(by_step.step(seconds));
+          oracle.advance(seconds);
+          expect_taps_eq(by_seconds, oracle, where);
+          expect_taps_eq(by_step, oracle, where);
+        }
+      }
+    }
+  }
+}
+
+TEST(Fading, StepCoefficients) {
+  MultipathProfile profile;
+  const FadingChannel channel(profile, 1);
+  EXPECT_EQ(channel.step(0.0).num_taps, 0);
+  EXPECT_EQ(channel.step(-1e-6).num_taps, 0);
+  const FadingStep past_null = channel.step(30e-3);
+  EXPECT_EQ(past_null.num_taps, profile.num_taps);
+  EXPECT_EQ(past_null.rho, 0.0);
+  const FadingStep short_step = channel.step(9e-6);
+  EXPECT_GT(short_step.rho, 0.99);
+  EXPECT_LT(short_step.rho, 1.0);
+  // A log entry per medium stretch stays small (one BSS logs ~1,250).
+  static_assert(sizeof(FadingStep) <= 144);
+}
+
+// The net engine builds each logged step once, from one member's
+// channel, and replays it on every member: channels sharing a profile
+// must evolve exactly as if each had built the step itself.
+TEST(Fading, SharedStepReplaysLikePerChannelAdvance) {
+  for (const MultipathProfile& profile : oracle_profiles()) {
+    const FadingChannel builder(profile, 1000);
+    FadingChannel a(profile, 5), b(profile, 6);
+    OracleChannel oracle_a(profile, 5), oracle_b(profile, 6);
+    for (const double seconds : kStepSeconds) {
+      const FadingStep shared = builder.step(seconds);
+      a.advance(shared);
+      b.advance(shared);
+      oracle_a.advance(seconds);
+      oracle_b.advance(seconds);
+      const std::string where = "taps " + std::to_string(profile.num_taps) +
+                                " step " + std::to_string(seconds);
+      expect_taps_eq(a, oracle_a, where);
+      expect_taps_eq(b, oracle_b, where);
+    }
+  }
+}
+
+TEST(Fading, TransmitMatchesPerSampleNoiseLoop) {
+  for (const int num_taps : {1, 8, kCpLength}) {
+    MultipathProfile profile;
+    profile.num_taps = num_taps;
+    const FadingChannel channel(profile, 21);
+    CxVec samples(333);
+    Rng source(4);
+    for (Cx& x : samples) x = source.complex_gaussian(1.0);
+    for (const bool saved_pending : {false, true}) {
+      Rng noise(9), oracle_noise(9);
+      if (saved_pending) {
+        EXPECT_EQ(noise.gaussian(), oracle_noise.gaussian());
+      }
+      const double nv = noise_var_for_snr_db(12.0);
+      const CxVec out = channel.transmit(samples, nv, noise);
+      CxVec expected = channel.apply_multipath(samples);
+      for (Cx& x : expected) x += oracle_noise.complex_gaussian(nv);
+      ASSERT_EQ(out.size(), expected.size());
+      for (std::size_t n = 0; n < out.size(); ++n) {
+        ASSERT_EQ(out[n], expected[n]) << "taps " << num_taps << " n " << n;
+      }
+      EXPECT_EQ(noise.gaussian(), oracle_noise.gaussian());
+    }
+  }
 }
 
 // EXPECT_EQ on doubles, not NEAR: any drift in a last bit would move

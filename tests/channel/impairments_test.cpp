@@ -81,6 +81,44 @@ TEST(Impairments, TxEvmFloorCalibrated) {
   EXPECT_NEAR(error_power, 0.05 * 0.05, 0.05 * 0.05 * 0.1);
 }
 
+// The EVM-floor fill draws exactly what the per-sample loop it replaced
+// drew, and leaves the RNG where that loop did for the phase-noise walk.
+TEST(Impairments, BulkEvmFloorMatchesPerSampleLoop) {
+  ImpairmentProfile profile;
+  profile.tx_evm_floor = 0.03;
+  profile.phase_noise_std = 0.002;
+  profile.cfo_hz = 2e3;
+  RadioImpairments radio(profile, 12);
+  Rng oracle(12);
+  double phase = 0.0;
+  for (const std::size_t size : {321u, 80u, 1u}) {
+    CxVec burst(size);
+    for (std::size_t n = 0; n < size; ++n) {
+      burst[n] = Cx{std::cos(0.1 * n), std::sin(0.3 * n)};
+    }
+    const CxVec out = radio.apply(burst);
+    CxVec expected = burst;
+    double mean_power = 0.0;
+    for (const Cx& x : expected) mean_power += std::norm(x);
+    mean_power /= static_cast<double>(expected.size());
+    const double error_var =
+        profile.tx_evm_floor * profile.tx_evm_floor * mean_power;
+    for (Cx& x : expected) x += oracle.complex_gaussian(error_var);
+    const double cfo_step =
+        2.0 * std::numbers::pi * profile.cfo_hz / kSampleRateHz;
+    for (Cx& x : expected) {
+      phase += cfo_step;
+      phase += profile.phase_noise_std * oracle.gaussian();
+      x *= Cx{std::cos(phase), std::sin(phase)};
+    }
+    phase = std::fmod(phase, 2.0 * std::numbers::pi);
+    ASSERT_EQ(out.size(), expected.size());
+    for (std::size_t n = 0; n < size; ++n) {
+      ASSERT_EQ(out[n], expected[n]) << "size " << size << " n " << n;
+    }
+  }
+}
+
 TEST(Impairments, PhaseNoiseDiffuses) {
   ImpairmentProfile profile;
   profile.phase_noise_std = 0.01;

@@ -1,5 +1,6 @@
 #include "channel/interference.h"
 
+#include <algorithm>
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -7,6 +8,32 @@
 
 namespace silence {
 namespace {
+
+// The pulse fill draws exactly what the per-sample loop it replaced drew:
+// one uniform per window, then a complex_gaussian per sample of a hit
+// window, the last window partial.
+TEST(Interference, BulkPulsesMatchPerSampleLoop) {
+  const PulseInterferer interferer{.symbol_hit_probability = 0.4,
+                                   .pulse_power = 2.5};
+  for (const std::size_t size : {0u, 79u, 800u, 1000u}) {
+    Rng rng(17), oracle(17);
+    CxVec samples(size, Cx{0.5, -0.25});
+    CxVec expected = samples;
+    interferer.apply(samples, rng);
+    for (std::size_t base = 0; base < expected.size(); base += kSymbolSamples) {
+      if (oracle.uniform() >= interferer.symbol_hit_probability) continue;
+      const std::size_t end =
+          std::min(base + kSymbolSamples, expected.size());
+      for (std::size_t n = base; n < end; ++n) {
+        expected[n] += oracle.complex_gaussian(interferer.pulse_power);
+      }
+    }
+    for (std::size_t n = 0; n < size; ++n) {
+      ASSERT_EQ(samples[n], expected[n]) << "size " << size << " n " << n;
+    }
+    EXPECT_EQ(rng.gaussian(), oracle.gaussian());
+  }
+}
 
 TEST(Interference, ZeroProbabilityLeavesSamplesUntouched) {
   Rng rng(1);

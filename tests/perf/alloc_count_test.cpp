@@ -2,7 +2,8 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions (test-only; nothing in src/ knows about them) and asserts the
-// two properties the workspace refactor exists to provide:
+// two properties the workspace refactor exists to provide, plus when the
+// RNG allocates its engine state:
 //
 //  1. Per-symbol kernels (time<->bins transforms, equalization, the
 //     fixed-point Viterbi with a warm workspace) allocate *nothing*.
@@ -99,6 +100,28 @@ TEST(AllocCount, HookIsLive) {
   });
   EXPECT_NE(sink, nullptr);
   EXPECT_GE(n, 1u);
+}
+
+// A stream's first 156 words come straight from its seed; the 2.5 KB
+// engine state is allocated once, at word 156, and copied only when built.
+TEST(AllocCount, RngStateOnlyPastHalfABlock) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  Rng rng(11);
+  EXPECT_EQ(allocations_during([&rng] {
+              for (int i = 0; i < 156; ++i) rng.engine()();
+            }),
+            0u);
+  const Rng unbuilt_copy = rng;
+  EXPECT_EQ(allocations_during([&rng] { rng.engine()(); }), 1u);
+  EXPECT_EQ(allocations_during([&rng] {
+              for (int i = 0; i < 1000; ++i) rng.gaussian();
+            }),
+            0u);
+  EXPECT_EQ(allocations_during([&rng] { const Rng copy = rng; }), 1u);
+  EXPECT_EQ(allocations_during([&unbuilt_copy] {
+              const Rng copy = unbuilt_copy;
+            }),
+            0u);
 }
 
 TEST(AllocCount, PerSymbolKernelsAllocateNothing) {
