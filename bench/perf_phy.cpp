@@ -10,12 +10,20 @@
 // instrumented pipeline stage (items = samples, bits or subcarriers,
 // whichever the stage's `<stage>.items` counter tracks) straight from the
 // obs metrics registry. `--trace FILE` dumps a Chrome trace of the run.
+// A trailing `context` object records the machine and build that produced
+// the numbers: CPU model, hardware threads, build type, SILENCE_OBS,
+// SILENCE_NATIVE, and which Viterbi add-compare-select kernel ran.
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <cstring>
 #include <random>
 #include <string>
+#include <thread>
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#endif
 
 #include "channel/fading.h"
 #include "common/crc32.h"
@@ -27,6 +35,7 @@
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
+#include "phy/viterbi_kernels.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -308,6 +317,37 @@ void BM_ViterbiDecodeFixedBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_ViterbiDecodeFixedBatch)->Arg(1024)->Arg(8214);
 
+std::string cpu_model() {
+#if defined(__x86_64__) || defined(__i386__)
+  unsigned regs[12] = {};
+  for (unsigned leaf = 0; leaf < 3; ++leaf) {
+    if (!__get_cpuid(0x80000002u + leaf, &regs[4 * leaf], &regs[4 * leaf + 1],
+                     &regs[4 * leaf + 2], &regs[4 * leaf + 3])) {
+      return "unknown";
+    }
+  }
+  char brand[49] = {};
+  std::memcpy(brand, regs, 48);
+  std::string s(brand);
+  s.erase(0, s.find_first_not_of(' '));
+  s.erase(s.find_last_not_of(' ') + 1);
+  return s;
+#else
+  return "unknown";
+#endif
+}
+
+runner::Json build_context() {
+  runner::Json c = runner::Json::object();
+  c.set("cpu", cpu_model());
+  c.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
+  c.set("build_type", PERF_PHY_BUILD_TYPE);
+  c.set("silence_obs", SILENCE_OBS_ON != 0);
+  c.set("silence_native", PERF_PHY_NATIVE != 0);
+  c.set("acs_kernel", viterbi_kernels::acs_kernel().name);
+  return c;
+}
+
 // Console output as usual, plus a structured record of every run for the
 // perf-baseline file.
 class JsonEmitReporter : public benchmark::ConsoleReporter {
@@ -364,6 +404,9 @@ class JsonEmitReporter : public benchmark::ConsoleReporter {
       any = true;
     }
     if (any) root.set("stage_throughput", std::move(throughput));
+    // Last, for the same reason; bench_compare reads only `stages` and
+    // `stage_throughput`.
+    root.set("context", build_context());
     runner::write_json_file(path, root);
     std::printf("perf baseline written to %s\n", path.c_str());
   }

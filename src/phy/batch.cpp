@@ -9,21 +9,19 @@
 #include "obs/flight/flight.h"
 #include "obs/health/health.h"
 #include "obs/obs.h"
-#include "phy/convolutional.h"
 #include "phy/interleaver.h"
-#include "phy/modulation.h"
 #include "phy/ofdm.h"
 #include "phy/pilots.h"
 #include "phy/preamble.h"
 #include "phy/puncture.h"
 #include "phy/scrambler.h"
 #include "phy/sync.h"
+#include "phy/viterbi_kernels.h"
 
 namespace silence {
 namespace {
 
 constexpr int kServiceBits = 16;
-constexpr double kMinChannelPower = 1e-9;
 constexpr std::size_t kT = PhyBatch::kRowTile;
 
 std::atomic<bool> g_phy_batch_enabled{true};
@@ -300,7 +298,6 @@ DecodePrep decode_pre(const FrontEndResult& fe, const Mcs& mcs,
     throw std::invalid_argument("decode_data_symbols: mask size mismatch");
   }
 
-  const auto data_bins = data_subcarrier_bins();
   result.eq_data.reserve(static_cast<std::size_t>(n_sym));
 
   {
@@ -331,28 +328,10 @@ DecodePrep decode_pre(const FrontEndResult& fe, const Mcs& mcs,
                     static_cast<std::size_t>(kNumDataSubcarriers));
   }
 
-  ws.llrs.clear();
-  ws.llrs.reserve(static_cast<std::size_t>(n_sym) *
-                  static_cast<std::size_t>(mcs.n_cbps));
   {
     OBS_SPAN("phy.rx.demap");
-    for (int s = 0; s < n_sym; ++s) {
-      const auto sym = static_cast<std::size_t>(s);
-      const auto points = result.eq_data[sym];
-      for (int i = 0; i < kNumDataSubcarriers; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        const bool erased =
-            silence != nullptr && (*silence)[sym][idx] != 0;
-        if (erased) {
-          for (int b = 0; b < mcs.n_bpsc; ++b) ws.llrs.push_back(0.0);
-          prep.erased_bits += static_cast<std::size_t>(mcs.n_bpsc);
-          continue;
-        }
-        const Cx h = fe.channel[static_cast<std::size_t>(data_bins[idx])];
-        const double h2 = std::max(std::norm(h), kMinChannelPower);
-        demod_llrs(points[idx], mcs.modulation, fe.noise_var / h2, ws.llrs);
-      }
-    }
+    prep.erased_bits = demap_data_symbols(result.eq_data, fe.channel,
+                                          fe.noise_var, mcs, silence, ws.llrs);
     OBS_COUNT_N("phy.rx.demap.items", ws.llrs.size());
   }
   OBS_COUNT_N("cos.erasures_injected", prep.erased_bits);
@@ -361,10 +340,7 @@ DecodePrep decode_pre(const FrontEndResult& fe, const Mcs& mcs,
     OBS_SPAN("phy.rx.deinterleave");
     deinterleave_llrs_into(ws.llrs, mcs, ws.deint);
   }
-  result.decoder_input_hard.reserve(ws.deint.size());
-  for (double v : ws.deint) {
-    result.decoder_input_hard.push_back(v < 0.0 ? 1 : 0);
-  }
+  hard_decisions_into(ws.deint, result.decoder_input_hard);
 
   prep.info_bits = static_cast<std::size_t>(n_sym) *
                    static_cast<std::size_t>(mcs.n_dbps);
@@ -377,17 +353,8 @@ void decode_post(const Mcs& mcs, int length_octets,
                  PhyWorkspace& ws, DecodeResult& result) {
 #if SILENCE_OBS_ON
   {
-    convolutional_encode_into(scrambled, ws.recode_mother);
-    puncture_into(ws.recode_mother, mcs.code_rate, ws.recoded);
-    const Bits& recoded = ws.recoded;
-    std::uint64_t corrected = 0;
-    const std::size_t n = std::min(recoded.size(), ws.deint.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ws.deint[i] != 0.0 &&
-          (ws.deint[i] < 0.0 ? 1 : 0) != recoded[i]) {
-        ++corrected;
-      }
-    }
+    const std::uint64_t corrected =
+        count_corrected_bits(scrambled, mcs.code_rate, ws.deint, ws);
     OBS_COUNT_N("cos.bits_corrected", corrected);
     FLIGHT_EVENT("rx.viterbi", obs::flight::kNoIndex, obs::flight::kNoIndex,
                  corrected, prep.erased_bits, scrambled.size());
@@ -508,9 +475,11 @@ void decode_data_symbols_batch(std::span<const DecodeLane> lanes,
                              preps[i].info_bits * 2, ws.mother);
         batch.llr_spans.push_back(ws.mother);
       }
-      if (batch.llr_spans.size() == 1) {
-        // A single lane gains nothing from lockstep; the scalar kernel
-        // is bit-identical.
+      if (batch.llr_spans.size() == 1 ||
+          viterbi_kernels::acs_kernel().outruns_lockstep) {
+        // A single lane gains nothing from lockstep, and neither do
+        // several when decode_fixed runs the AVX2 kernel; it is
+        // bit-identical lane by lane.
         for (std::size_t i = 0; i < n; ++i) {
           if (!preps[i].ready) continue;
           PhyWorkspace& ws = batch.lane_ws[i];

@@ -20,7 +20,9 @@ inline constexpr std::uint8_t kGeneratorB = 0b1111001;           // 171 octal
 Bits convolutional_encode(std::span<const std::uint8_t> bits);
 
 // Same encoding into a caller buffer (resized; capacity reused across
-// calls, so warm hot-path callers stay allocation-free).
+// calls, so warm hot-path callers stay allocation-free). One lookup per
+// input bit in a 128-entry table indexed by the 7-bit window
+// (input << 6 | state); equal to the conv_output/conv_next_state loop.
 void convolutional_encode_into(std::span<const std::uint8_t> bits, Bits& out);
 
 // Coded output pair for one input bit from a given 6-bit encoder state.

@@ -1,9 +1,15 @@
 #include "phy/modulation.h"
 
+#include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace silence {
 namespace {
@@ -25,29 +31,6 @@ double axis_value(std::span<const std::uint8_t> bits) {
       return kPam8[((bits[0] & 1U) << 2) | ((bits[1] & 1U) << 1) |
                    (bits[2] & 1U)];
     default: throw std::invalid_argument("axis_value: bad bit count");
-  }
-}
-
-// Per-axis max-log LLRs: for each axis bit, the difference between the
-// squared distance to the nearest level with that bit = 1 and the nearest
-// with bit = 0.
-template <std::size_t N>
-void axis_llrs(double y, const std::array<double, N>& levels, int bits,
-               double inv_noise, std::vector<double>& out) {
-  for (int b = 0; b < bits; ++b) {
-    double best0 = std::numeric_limits<double>::max();
-    double best1 = std::numeric_limits<double>::max();
-    for (std::size_t idx = 0; idx < N; ++idx) {
-      const double d = y - levels[idx];
-      const double dist = d * d;
-      const bool bit_is_one = ((idx >> (bits - 1 - b)) & 1U) != 0;
-      if (bit_is_one) {
-        if (dist < best1) best1 = dist;
-      } else {
-        if (dist < best0) best0 = dist;
-      }
-    }
-    out.push_back((best1 - best0) * inv_noise);
   }
 }
 
@@ -117,6 +100,90 @@ Cx map_symbol(std::span<const std::uint8_t> bits, Modulation mod) {
   return {i_axis * scale, q_axis * scale};
 }
 
+namespace {
+
+// Maps n = kBits bits per point through the constellation table, reading
+// each point's index MSB-first exactly as map_symbol reads its bits.
+template <int kBits>
+void map_with_table(const std::uint8_t* bits, std::span<const Cx> table,
+                    std::span<Cx> out) {
+  for (Cx& point : out) {
+    unsigned idx = 0;
+#pragma GCC unroll 6
+    for (int k = 0; k < kBits; ++k) idx = (idx << 1) | (bits[k] & 1U);
+    point = table[idx];
+    bits += kBits;
+  }
+}
+
+// One point's two axes (I, Q) side by side. Every operation below is
+// lane-wise IEEE arithmetic, so each lane computes exactly the scalar
+// per-axis expression it replaces.
+using AxisPair = double __attribute__((vector_size(16)));
+
+// d < best ? d : best, per lane: the max-log search's running minimum.
+// NaN distances never replace the running value, as in a scalar `<`.
+inline AxisPair take_if_less(AxisPair d, AxisPair best) {
+#if defined(__SSE2__)
+  return _mm_min_pd(d, best);
+#else
+  return d < best ? d : best;
+#endif
+}
+
+// Max-log LLRs of one row for a modulation whose axes carry the Gray PAM
+// `levels` (kAxes = 1: BPSK, I axis only). Per axis, each level's squared
+// distance is computed once; bit b's LLR is the minimum over the levels
+// whose index has bit b set, minus the minimum over those with it clear
+// (each minimum seeded with DBL_MAX), times the point's weight. Output
+// order per point: the I axis's bits MSB-first, then the Q axis's.
+template <std::size_t N, int kAxes>
+std::size_t demod_row(std::span<const Cx> points,
+                      const std::array<double, N>& levels, double scale,
+                      std::span<const double> weights,
+                      const std::uint8_t* erased, double* out) {
+  constexpr int kBits = std::bit_width(N) - 1;
+  constexpr int kPerPoint = kBits * kAxes;
+  constexpr double kFar = std::numeric_limits<double>::max();
+  const AxisPair scale2 = {scale, scale};
+  std::size_t erased_points = 0;
+  for (std::size_t i = 0; i < points.size(); ++i, out += kPerPoint) {
+    if (erased != nullptr && erased[i] != 0) {
+      // EVD: every constellation bit of a silence symbol is an erasure.
+      std::fill(out, out + kPerPoint, 0.0);
+      ++erased_points;
+      continue;
+    }
+    const AxisPair y = AxisPair{points[i].real(), points[i].imag()} / scale2;
+    AxisPair dist[N];
+#pragma GCC unroll 8
+    for (std::size_t idx = 0; idx < N; ++idx) {
+      const AxisPair d = y - levels[idx];
+      dist[idx] = d * d;
+    }
+    const double w = weights[i];
+#pragma GCC unroll 3
+    for (int b = 0; b < kBits; ++b) {
+      AxisPair best0 = {kFar, kFar};
+      AxisPair best1 = {kFar, kFar};
+#pragma GCC unroll 8
+      for (std::size_t idx = 0; idx < N; ++idx) {
+        if (((idx >> (kBits - 1 - b)) & 1U) != 0) {
+          best1 = take_if_less(dist[idx], best1);
+        } else {
+          best0 = take_if_less(dist[idx], best0);
+        }
+      }
+      const AxisPair llr = (best1 - best0) * w;
+      out[b] = llr[0];
+      if constexpr (kAxes == 2) out[kBits + b] = llr[1];
+    }
+  }
+  return erased_points;
+}
+
+}  // namespace
+
 void map_bits_into(std::span<const std::uint8_t> bits, Modulation mod,
                    std::span<Cx> out) {
   const auto n = static_cast<std::size_t>(bits_per_symbol(mod));
@@ -126,8 +193,12 @@ void map_bits_into(std::span<const std::uint8_t> bits, Modulation mod,
   if (out.size() != bits.size() / n) {
     throw std::invalid_argument("map_bits_into: output size mismatch");
   }
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    out[i] = map_symbol(bits.subspan(i * n, n), mod);
+  const std::span<const Cx> table = constellation(mod);
+  switch (mod) {
+    case Modulation::kBpsk: map_with_table<1>(bits.data(), table, out); return;
+    case Modulation::kQpsk: map_with_table<2>(bits.data(), table, out); return;
+    case Modulation::kQam16: map_with_table<4>(bits.data(), table, out); return;
+    case Modulation::kQam64: map_with_table<6>(bits.data(), table, out); return;
   }
 }
 
@@ -141,32 +212,42 @@ CxVec map_bits(std::span<const std::uint8_t> bits, Modulation mod) {
   return out;
 }
 
-void demod_llrs(Cx y, Modulation mod, double noise_var,
-                std::vector<double>& out) {
-  const double scale = modulation_scale(mod);
-  const double yi = y.real() / scale;
-  const double yq = y.imag() / scale;
+double demod_llr_weight(Modulation mod, double noise_var) {
   // Distances are computed on the unscaled grid; fold the scale into the
   // noise normalization so LLR magnitudes stay proportional to true ones.
-  const double inv_noise = scale * scale / std::max(noise_var, 1e-12);
+  const double scale = modulation_scale(mod);
+  return scale * scale / std::max(noise_var, 1e-12);
+}
+
+std::size_t demod_row_llrs(std::span<const Cx> points, Modulation mod,
+                           std::span<const double> weights,
+                           const std::uint8_t* erased, std::span<double> out) {
+  const auto n_bpsc = static_cast<std::size_t>(bits_per_symbol(mod));
+  if (weights.size() != points.size() ||
+      out.size() != points.size() * n_bpsc) {
+    throw std::invalid_argument("demod_row_llrs: size mismatch");
+  }
+  const double scale = modulation_scale(mod);
   switch (mod) {
     case Modulation::kBpsk:
-      axis_llrs(yi, kPam2, 1, inv_noise, out);
-      return;
+      return demod_row<2, 1>(points, kPam2, scale, weights, erased, out.data());
     case Modulation::kQpsk:
-      axis_llrs(yi, kPam2, 1, inv_noise, out);
-      axis_llrs(yq, kPam2, 1, inv_noise, out);
-      return;
+      return demod_row<2, 2>(points, kPam2, scale, weights, erased, out.data());
     case Modulation::kQam16:
-      axis_llrs(yi, kPam4, 2, inv_noise, out);
-      axis_llrs(yq, kPam4, 2, inv_noise, out);
-      return;
+      return demod_row<4, 2>(points, kPam4, scale, weights, erased, out.data());
     case Modulation::kQam64:
-      axis_llrs(yi, kPam8, 3, inv_noise, out);
-      axis_llrs(yq, kPam8, 3, inv_noise, out);
-      return;
+      return demod_row<8, 2>(points, kPam8, scale, weights, erased, out.data());
   }
-  throw std::invalid_argument("demod_llrs: bad modulation");
+  throw std::invalid_argument("demod_row_llrs: bad modulation");
+}
+
+void demod_llrs(Cx y, Modulation mod, double noise_var,
+                std::vector<double>& out) {
+  const double weight = demod_llr_weight(mod, noise_var);
+  const std::size_t at = out.size();
+  out.resize(at + static_cast<std::size_t>(bits_per_symbol(mod)));
+  demod_row_llrs(std::span(&y, 1), mod, std::span(&weight, 1), nullptr,
+                 std::span(out).subspan(at));
 }
 
 Bits hard_decision_bits(Cx y, Modulation mod) {

@@ -1,5 +1,6 @@
 #include "phy/puncture.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
@@ -34,10 +35,12 @@ void puncture_into(std::span<const std::uint8_t> coded, CodeRate rate,
     out.assign(coded.begin(), coded.end());
     return;
   }
-  out.clear();
-  out.reserve(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    if (pattern[i % pattern.size()]) out.push_back(coded[i]);
+  out.resize(punctured_length(coded.size(), rate));
+  std::uint8_t* kept = out.data();
+  std::size_t phase = 0;
+  for (const std::uint8_t bit : coded) {
+    if (pattern[phase]) *kept++ = bit;
+    if (++phase == pattern.size()) phase = 0;
   }
 }
 
@@ -78,11 +81,14 @@ Llrs depuncture_llrs(std::span<const double> llrs, CodeRate rate,
 std::size_t punctured_length(std::size_t mother_bits, CodeRate rate) {
   const auto pattern = pattern_for(rate);
   if (pattern.empty()) return mother_bits;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < mother_bits; ++i) {
-    if (pattern[i % pattern.size()]) ++kept;
-  }
-  return kept;
+  const std::size_t per_period = static_cast<std::size_t>(
+      std::count(pattern.begin(), pattern.end(), std::uint8_t{1}));
+  const std::size_t rest = mother_bits % pattern.size();
+  return mother_bits / pattern.size() * per_period +
+         static_cast<std::size_t>(std::count(
+             pattern.begin(),
+             pattern.begin() + static_cast<std::ptrdiff_t>(rest),
+             std::uint8_t{1}));
 }
 
 }  // namespace silence

@@ -30,6 +30,22 @@ const ViterbiDecoder& shared_decoder() {
   return decoder;
 }
 
+// Per-subcarrier demapper weights of one packet: the channel power is
+// floored at kMinChannelPower, then weighted as demod_llrs weights a point
+// of noise variance noise_var / |H|^2.
+std::array<double, kNumDataSubcarriers> data_llr_weights(
+    const std::array<Cx, kFftSize>& channel, double noise_var,
+    Modulation mod) {
+  std::array<double, kNumDataSubcarriers> weights;
+  const auto data_bins = data_subcarrier_bins();
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    const Cx h = channel[static_cast<std::size_t>(data_bins[i])];
+    const double h2 = std::max(std::norm(h), kMinChannelPower);
+    weights[i] = demod_llr_weight(mod, noise_var / h2);
+  }
+  return weights;
+}
+
 }  // namespace
 
 std::optional<SignalField> decode_signal_symbol(
@@ -39,14 +55,10 @@ std::optional<SignalField> decode_signal_symbol(
   equalize_data_points_into(signal_bins, channel, points);
 
   const Mcs& bpsk = mcs_for_rate(6);
-  ws.llrs.clear();
-  const auto data_bins = data_subcarrier_bins();
-  for (int i = 0; i < kNumDataSubcarriers; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const Cx h = channel[static_cast<std::size_t>(data_bins[idx])];
-    const double h2 = std::max(std::norm(h), kMinChannelPower);
-    demod_llrs(points[idx], Modulation::kBpsk, noise_var / h2, ws.llrs);
-  }
+  ws.llrs.resize(kNumDataSubcarriers);
+  demod_row_llrs(points, Modulation::kBpsk,
+                 data_llr_weights(channel, noise_var, Modulation::kBpsk),
+                 nullptr, ws.llrs);
   deinterleave_symbol_llrs_into(ws.llrs, bpsk, ws.deint);
   shared_decoder().decode(ws.deint, /*terminated=*/true, ws.viterbi,
                           ws.scrambled);
@@ -67,6 +79,50 @@ void equalize_data_points_into(std::span<const Cx> bins64,
       points48[idx] /= h;
     }
   }
+}
+
+std::size_t demap_data_symbols(const SymbolGrid& eq_data,
+                               const std::array<Cx, kFftSize>& channel,
+                               double noise_var, const Mcs& mcs,
+                               const SilenceMask* silence,
+                               std::vector<double>& llrs) {
+  const auto weights = data_llr_weights(channel, noise_var, mcs.modulation);
+  const auto n_cbps = static_cast<std::size_t>(mcs.n_cbps);
+  llrs.resize(eq_data.size() * n_cbps);
+  std::size_t erased_points = 0;
+  for (std::size_t s = 0; s < eq_data.size(); ++s) {
+    erased_points += demod_row_llrs(
+        eq_data[s], mcs.modulation, weights,
+        silence != nullptr ? (*silence)[s].data() : nullptr,
+        std::span(llrs).subspan(s * n_cbps, n_cbps));
+  }
+  return erased_points * static_cast<std::size_t>(mcs.n_bpsc);
+}
+
+void hard_decisions_into(std::span<const double> llrs, Bits& out) {
+  out.resize(llrs.size());
+  std::uint8_t* hard = out.data();
+  for (std::size_t i = 0; i < llrs.size(); ++i) {
+    hard[i] = llrs[i] < 0.0 ? 1 : 0;
+  }
+}
+
+std::uint64_t count_corrected_bits(std::span<const std::uint8_t> decoded,
+                                   CodeRate rate,
+                                   std::span<const double> decoder_input,
+                                   PhyWorkspace& ws) {
+  convolutional_encode_into(decoded, ws.recode_mother);
+  puncture_into(ws.recode_mother, rate, ws.recoded);
+  const std::size_t n = std::min(ws.recoded.size(), decoder_input.size());
+  const std::uint8_t* recoded = ws.recoded.data();
+  const double* llr = decoder_input.data();
+  std::uint64_t corrected = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int hard = llr[i] < 0.0 ? 1 : 0;
+    corrected += static_cast<std::uint64_t>((llr[i] != 0.0) &
+                                            (hard != recoded[i]));
+  }
+  return corrected;
 }
 
 CxVec equalize_data_points(std::span<const Cx> bins64,
@@ -221,7 +277,6 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
   }
 
   OBS_SPAN("phy.rx.decode");
-  const auto data_bins = data_subcarrier_bins();
   result.eq_data.reserve(static_cast<std::size_t>(n_sym));
 
   // Pass 1 — equalize every symbol (plus per-symbol common-phase-error
@@ -259,32 +314,13 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
                     static_cast<std::size_t>(kNumDataSubcarriers));
   }
 
-  // Pass 2 — demap to LLRs, injecting EVD erasures on masked subcarriers.
-  ws.llrs.clear();
-  ws.llrs.reserve(static_cast<std::size_t>(n_sym) *
-                  static_cast<std::size_t>(mcs.n_cbps));
+  // Pass 2 — demap to LLRs, injecting EVD erasures on masked subcarriers
+  // (paper Eq. 7, the e_k = 0 branch).
   [[maybe_unused]] std::size_t erased_bits = 0;
   {
     OBS_SPAN("phy.rx.demap");
-    for (int s = 0; s < n_sym; ++s) {
-      const auto sym = static_cast<std::size_t>(s);
-      const auto points = result.eq_data[sym];
-      for (int i = 0; i < kNumDataSubcarriers; ++i) {
-        const auto idx = static_cast<std::size_t>(i);
-        const bool erased =
-            silence != nullptr && (*silence)[sym][idx] != 0;
-        if (erased) {
-          // EVD: every constellation bit of a silence symbol is an erasure
-          // (paper Eq. 7, the e_k = 0 branch).
-          for (int b = 0; b < mcs.n_bpsc; ++b) ws.llrs.push_back(0.0);
-          erased_bits += static_cast<std::size_t>(mcs.n_bpsc);
-          continue;
-        }
-        const Cx h = fe.channel[static_cast<std::size_t>(data_bins[idx])];
-        const double h2 = std::max(std::norm(h), kMinChannelPower);
-        demod_llrs(points[idx], mcs.modulation, fe.noise_var / h2, ws.llrs);
-      }
-    }
+    erased_bits = demap_data_symbols(result.eq_data, fe.channel, fe.noise_var,
+                                     mcs, silence, ws.llrs);
     OBS_COUNT_N("phy.rx.demap.items", ws.llrs.size());
   }
   OBS_COUNT_N("cos.erasures_injected", erased_bits);
@@ -293,10 +329,7 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
     OBS_SPAN("phy.rx.deinterleave");
     deinterleave_llrs_into(ws.llrs, mcs, ws.deint);
   }
-  result.decoder_input_hard.reserve(ws.deint.size());
-  for (double v : ws.deint) {
-    result.decoder_input_hard.push_back(v < 0.0 ? 1 : 0);
-  }
+  hard_decisions_into(ws.deint, result.decoder_input_hard);
 
   const auto info_bits = static_cast<std::size_t>(n_sym) *
                          static_cast<std::size_t>(mcs.n_dbps);
@@ -314,21 +347,8 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
 
 #if SILENCE_OBS_ON
   {
-    // Corrected-bit diagnostic (paper §"erasure Viterbi decoding"): the
-    // decoder's output re-encoded and compared with the hard decisions it
-    // was fed — mismatches at non-erased positions are the channel errors
-    // plus silence erasures the code absorbed.
-    convolutional_encode_into(scrambled, ws.recode_mother);
-    puncture_into(ws.recode_mother, mcs.code_rate, ws.recoded);
-    const Bits& recoded = ws.recoded;
-    std::uint64_t corrected = 0;
-    const std::size_t n = std::min(recoded.size(), ws.deint.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (ws.deint[i] != 0.0 &&
-          (ws.deint[i] < 0.0 ? 1 : 0) != recoded[i]) {
-        ++corrected;
-      }
-    }
+    const std::uint64_t corrected =
+        count_corrected_bits(scrambled, mcs.code_rate, ws.deint, ws);
     OBS_COUNT_N("cos.bits_corrected", corrected);
     // Flight: a = corrected bits, b = erased bits fed in, u = decoded
     // bit count — the EVD workload of this packet in one event.
@@ -345,11 +365,10 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
   } catch (const std::runtime_error&) {
     return result;  // hopelessly corrupt
   }
-  Scrambler descrambler(seed);
   result.scrambler_seed = seed;
   {
     OBS_SPAN("phy.rx.descramble");
-    result.info_bits = descrambler.apply(scrambled);
+    Scrambler::apply_with_seed_into(seed, scrambled, result.info_bits);
   }
 
   const std::size_t psdu_bits = 8 * static_cast<std::size_t>(length_octets);

@@ -94,6 +94,32 @@ std::optional<SignalField> decode_signal_symbol(
     std::span<const Cx> signal_bins, const std::array<Cx, kFftSize>& channel,
     double noise_var, PhyWorkspace& ws);
 
+// Max-log demap of a packet's equalized data grid (48 points per row)
+// into `llrs`, resized to rows * n_cbps: one demod_row_llrs() pass per
+// row, with each subcarrier's weight computed once per packet from
+// max(|H|^2, 1e-9) and `noise_var`. Rows of `silence` (may be null) mark
+// EVD erasures. Returns the number of erased bits. Shared by the scalar
+// and batched decoders.
+std::size_t demap_data_symbols(const SymbolGrid& eq_data,
+                               const std::array<Cx, kFftSize>& channel,
+                               double noise_var, const Mcs& mcs,
+                               const SilenceMask* silence,
+                               std::vector<double>& llrs);
+
+// Hard decisions of an LLR stream (1 where the LLR is negative) into
+// `out`, resized to match.
+void hard_decisions_into(std::span<const double> llrs, Bits& out);
+
+// Corrected-bit diagnostic (paper §"erasure Viterbi decoding"): the
+// decoder output `decoded` re-encoded at `rate` (into ws.recode_mother and
+// ws.recoded) and compared with the hard decisions of the decoder input it
+// was fed. Returns the mismatches at non-erased (nonzero) positions: the
+// channel errors plus silence erasures the code absorbed.
+std::uint64_t count_corrected_bits(std::span<const std::uint8_t> decoded,
+                                   CodeRate rate,
+                                   std::span<const double> decoder_input,
+                                   PhyWorkspace& ws);
+
 // Equalizes one raw 64-bin symbol to the 48 logical data points.
 // Bins with a near-zero channel estimate equalize to 0.
 CxVec equalize_data_points(std::span<const Cx> bins64,

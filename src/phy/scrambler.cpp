@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <mutex>
 #include <stdexcept>
 
@@ -37,10 +38,18 @@ Bits Scrambler::sequence(std::uint8_t seed, std::size_t length) {
   return out;
 }
 
-std::span<const std::uint8_t> Scrambler::period_cached(std::uint8_t seed) {
-  constexpr std::size_t kPeriod = 127;
-  // One slot per 7-bit seed, built once under the mutex and published
-  // with release semantics (same pattern as fft_plan's cache).
+namespace {
+
+constexpr std::size_t kPeriod = 127;
+// Bytes XORed per block step: period tables carry this many bits past
+// one period, so a block starting at any phase reads contiguous bits.
+constexpr std::size_t kBlock = 8;
+
+// One period plus kBlock - 1 wrapped bits for `seed`, served from a
+// process-wide table built lazily per seed. One slot per 7-bit seed,
+// built once under the mutex and published with release semantics (same
+// pattern as fft_plan's cache).
+const Bits& extended_period(std::uint8_t seed) {
   static std::array<std::atomic<const Bits*>, 128> slots{};
   static std::mutex build_mutex;
   const auto idx = static_cast<std::size_t>(seed & 0x7FU);
@@ -52,26 +61,45 @@ std::span<const std::uint8_t> Scrambler::period_cached(std::uint8_t seed) {
     const std::lock_guard<std::mutex> lock(build_mutex);
     period = slots[idx].load(std::memory_order_acquire);
     if (period == nullptr) {
-      period = new Bits(sequence(seed, kPeriod));
+      period = new Bits(Scrambler::sequence(seed, kPeriod + kBlock - 1));
       slots[idx].store(period, std::memory_order_release);
     }
   }
   return *period;
 }
 
+}  // namespace
+
+std::span<const std::uint8_t> Scrambler::period_cached(std::uint8_t seed) {
+  return std::span(extended_period(seed)).first(kPeriod);
+}
+
 void Scrambler::apply_with_seed_into(std::uint8_t seed,
                                      std::span<const std::uint8_t> bits,
                                      Bits& out) {
-  const auto period = period_cached(seed);
+  const std::uint8_t* pn = extended_period(seed).data();
   out.resize(bits.size());
+  const std::uint8_t* in = bits.data();
+  std::uint8_t* dst = out.data();
+  const std::size_t n = bits.size();
+  // kBlock bits per step as one 64-bit XOR; the mask keeps each byte's
+  // low bit, as the per-bit `(b ^ pn) & 1` does.
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
   std::size_t i = 0;
-  while (i < bits.size()) {
-    const std::size_t chunk = std::min(period.size(), bits.size() - i);
-    for (std::size_t j = 0; j < chunk; ++j) {
-      out[i + j] =
-          static_cast<std::uint8_t>((bits[i + j] ^ period[j]) & 1U);
-    }
-    i += chunk;
+  std::size_t phase = 0;
+  for (; i + kBlock <= n; i += kBlock) {
+    std::uint64_t word;
+    std::uint64_t key;
+    std::memcpy(&word, in + i, kBlock);
+    std::memcpy(&key, pn + phase, kBlock);
+    word = (word ^ key) & kLowBits;
+    std::memcpy(dst + i, &word, kBlock);
+    phase += kBlock;
+    if (phase >= kPeriod) phase -= kPeriod;
+  }
+  for (; i < n; ++i) {
+    dst[i] = static_cast<std::uint8_t>((in[i] ^ pn[phase]) & 1U);
+    if (++phase == kPeriod) phase = 0;
   }
 }
 

@@ -20,7 +20,9 @@ class Scrambler {
   // Next output bit of the PN sequence, advancing the register.
   std::uint8_t next();
 
-  // XORs the PN sequence onto `bits` (works for scramble and descramble).
+  // XORs the PN sequence onto `bits` (works for scramble and descramble),
+  // stepping the register once per bit. The chains use
+  // apply_with_seed_into(); this is its reference.
   Bits apply(std::span<const std::uint8_t> bits);
 
   // 127-bit repeating sequence generated from `seed` (handy for tests and
@@ -33,9 +35,10 @@ class Scrambler {
   static std::span<const std::uint8_t> period_cached(std::uint8_t seed);
 
   // XORs the `seed` PN sequence onto `bits` without stepping the register
-  // bit by bit (the period table plus a block XOR). Bit-identical to
-  // Scrambler(seed).apply(bits); `out` is resized to match and its
-  // capacity is reused across calls.
+  // bit by bit (the cached period, eight bits per 64-bit XOR). Bit-identical
+  // to Scrambler(seed).apply(bits); `out` is resized to match and its
+  // capacity is reused across calls. Both chains scramble and descramble
+  // through this.
   static void apply_with_seed_into(std::uint8_t seed,
                                    std::span<const std::uint8_t> bits,
                                    Bits& out);

@@ -51,25 +51,28 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
 
   // SERVICE (16 zero bits: 7 scrambler-init + 9 reserved) + PSDU + tail +
   // pad, then scramble everything and re-zero the tail so the encoder
-  // terminates in state 0 (802.11a 17.3.5.2).
+  // terminates in state 0 (802.11a 17.3.5.2). The PSDU is unpacked in
+  // place, LSB of each octet first (as bytes_to_bits).
   Bits plain(total_bits, 0);
-  const Bits psdu_bits = bytes_to_bits(psdu);
-  std::copy(psdu_bits.begin(), psdu_bits.end(),
-            plain.begin() + kServiceBits);
+  std::uint8_t* psdu_bits = plain.data() + kServiceBits;
+  for (const std::uint8_t octet : psdu) {
+    for (int i = 0; i < 8; ++i) {
+      *psdu_bits++ = static_cast<std::uint8_t>((octet >> i) & 1U);
+    }
+  }
 
   {
     OBS_SPAN("phy.tx.scramble");
-    Scrambler scrambler(scrambler_seed);
-    frame.data_bits = scrambler.apply(plain);
+    Scrambler::apply_with_seed_into(scrambler_seed, plain, frame.data_bits);
     OBS_COUNT_N("phy.tx.scramble.items", frame.data_bits.size());
   }
-  const std::size_t tail_at = kServiceBits + psdu_bits.size();
+  const std::size_t tail_at = kServiceBits + 8 * psdu.size();
   for (int i = 0; i < kTailBits; ++i) frame.data_bits[tail_at + static_cast<std::size_t>(i)] = 0;
 
   {
     OBS_SPAN("phy.tx.encode");
     const Bits mother = convolutional_encode(frame.data_bits);
-    frame.coded_bits = puncture(mother, mcs.code_rate);
+    puncture_into(mother, mcs.code_rate, frame.coded_bits);
     OBS_COUNT_N("phy.tx.encode.items", frame.data_bits.size());
   }
 

@@ -13,9 +13,13 @@
 //    the fixed-point path is property-tested against, and the exhaustive
 //    maximum-likelihood property tests hold against it to 1e-9).
 //  - decode_fixed(): the hot path. LLRs are block-normalized and rounded
-//    to int16 (|q| <= kQuantMax), metrics are int32, and the 32 trellis
-//    butterflies per step run branch-free over flat state arrays (SSE2
-//    when available, with an identical-result scalar fallback). For any
+//    to int16 (|q| <= kQuantMax; an SSE2 pass when the block is finite,
+//    the scalar loop otherwise), metrics are int32, and the 32 trellis
+//    butterflies per step run branch-free in an add-compare-select kernel
+//    picked once per process: AVX2 (8 butterflies per register, metrics
+//    held in registers) when the CPU has it, else SSE2 (4 per register),
+//    else a portable loop; all three are exact integer arithmetic and
+//    agree bit for bit (phy/viterbi_kernels.h). For any
 //    input of at most kMaxFixedSteps steps, decode_fixed(llrs) returns
 //    *bit-identical* output to decode() run on the quantized LLRs: with
 //    |q| <= 8191 and <= 49152 steps the int32 path metrics stay within
@@ -90,7 +94,9 @@ class ViterbiDecoder {
   // Block quantization used by decode_fixed: scales so the largest finite
   // |LLR| becomes kQuantMax, rounding half away from zero; zero stays
   // exactly zero (erasures remain erasures). `out.size()` must equal
-  // `llrs.size()`.
+  // `llrs.size()`. All-finite blocks with a finite scale take an SSE2
+  // pass; NaN, +-inf or a scale that overflows (a subnormal maximum) take
+  // the scalar loop. Both give the same values.
   static void quantize_llrs(std::span<const double> llrs,
                             std::span<std::int16_t> out);
 
@@ -121,15 +127,9 @@ class ViterbiDecoder {
   std::vector<std::uint8_t> output_table_;
   // Butterfly j's branch metric as a selector into the four per-step
   // combinations {la+lb, la-lb, -la+lb, -la-lb} (the batched kernel
-  // broadcasts those four values across lanes once per step).
+  // broadcasts those four values across lanes once per step); derived
+  // from viterbi_kernels::butterfly_signs().
   std::uint8_t combo_idx_[32];
-  // Butterfly branch-metric signs: for butterfly j (predecessors 2j and
-  // 2j+1), g_j = sign_a_[j]*la + sign_b_[j]*lb is the branch metric of
-  // the (even predecessor, input 0) edge; the three sibling edges use
-  // +-g_j by the code's symmetry (both generator polynomials have their
-  // lowest and highest taps set).
-  std::int32_t sign_a_[32];
-  std::int32_t sign_b_[32];
 };
 
 }  // namespace silence
