@@ -25,11 +25,15 @@ void bits_to_bytes_into(std::span<const std::uint8_t> bits, Bytes& bytes) {
   if (bits.size() % 8 != 0) {
     throw std::invalid_argument("bits_to_bytes: bit count not a multiple of 8");
   }
-  bytes.assign(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i) {
-    if (bits[i] & 1U) {
-      bytes[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
-    }
+  // Eight bits per byte without a data-dependent branch (a PSDU's bits
+  // are random, so a branch per bit mispredicts half the time).
+  bytes.resize(bits.size() / 8);
+  const std::uint8_t* in = bits.data();
+  for (std::uint8_t& byte : bytes) {
+    unsigned packed = 0;
+    for (unsigned i = 0; i < 8; ++i) packed |= (in[i] & 1U) << i;
+    byte = static_cast<std::uint8_t>(packed);
+    in += 8;
   }
 }
 

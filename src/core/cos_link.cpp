@@ -10,14 +10,11 @@
 #include "phy/modulation.h"
 
 namespace silence {
-namespace {
 
-// Shared TX body: frame build + silence planning, everything except the
-// final sample synthesis (which is where the scalar and batched paths
-// diverge).
-CosTxPacket build_cos_frame(std::span<const std::uint8_t> psdu,
-                            std::span<const std::uint8_t> control_bits,
-                            const CosTxConfig& config) {
+CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
+                         std::span<const std::uint8_t> control_bits,
+                         const CosTxConfig& config) {
+  OBS_SPAN("cos.tx");
   if (!config.mcs.valid()) {
     throw std::invalid_argument("cos_transmit: no MCS configured");
   }
@@ -32,27 +29,14 @@ CosTxPacket build_cos_frame(std::span<const std::uint8_t> psdu,
   } else {
     packet.plan.mask = empty_mask(packet.frame.num_symbols());
   }
-  return packet;
-}
-
-}  // namespace
-
-CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
-                         std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config) {
-  OBS_SPAN("cos.tx");
-  CosTxPacket packet = build_cos_frame(psdu, control_bits, config);
   packet.samples = frame_to_samples(packet.frame);
   return packet;
 }
 
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config, PhyBatch& batch) {
-  OBS_SPAN("cos.tx");
-  CosTxPacket packet = build_cos_frame(psdu, control_bits, config);
-  packet.samples = frame_to_samples_batch(packet.frame, batch);
-  return packet;
+                         const CosTxConfig& config, PhyBatch& /*batch*/) {
+  return cos_transmit(psdu, control_bits, config);
 }
 
 SymbolGrid reconstruct_ideal_grid(const DecodeResult& decode,

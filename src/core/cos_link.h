@@ -60,8 +60,9 @@ struct CosTxPacket {
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
                          const CosTxConfig& config);
-// Batched-engine variant: identical frame/plan/samples, with the data
-// symbols modulated through the tiled IFFT kernel.
+// Batched-engine variant: the same call, since TX has one assembly path
+// (frame_to_samples). It stays with the other PhyBatch& overloads until
+// the batch facades are retired as a whole (ROADMAP item 3).
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
                          const CosTxConfig& config, PhyBatch& batch);
@@ -91,8 +92,8 @@ CosRxPacket cos_receive(std::span<const Cx> samples,
 CosRxPacket cos_receive(std::span<const Cx> samples,
                         const CosRxConfig& config,
                         std::optional<Modulation> next_mod, PhyWorkspace& ws);
-// Batched-engine variant: bit-identical CosRxPacket (front end through
-// the tiled FFTs, decode through the batch facade).
+// Batched-engine variant: bit-identical CosRxPacket (front end on the
+// batch's first lane, decode through the batch facade).
 CosRxPacket cos_receive(std::span<const Cx> samples,
                         const CosRxConfig& config,
                         std::optional<Modulation> next_mod, PhyBatch& batch);

@@ -1,27 +1,14 @@
-// Batched structure-of-arrays PHY engine.
+// Batched PHY engine: the packet-level facades that group receive lanes
+// so the fixed-point Viterbi can decode up to ViterbiDecoder::kBatchLanes
+// packets in lockstep (see ViterbiDecoder::decode_fixed_batch for the
+// contract; on CPUs where decode_fixed runs the AVX2 add-compare-select,
+// lanes decode one by one, which is faster there).
 //
-// The scalar chain (receiver.cpp / transmitter.cpp) processes one OFDM
-// symbol at a time through cache-cold array-of-structures buffers. This
-// engine keeps the same arithmetic — every kernel replays the exact
-// floating-point operation sequence of its scalar counterpart — but
-// restructures the *storage* so the hot loops vectorize:
-//
-//  - FFT/IFFT run on row tiles: up to kRowTile symbols of one lane laid
-//    out as split re/im planes, bin-major and row-minor, so each
-//    butterfly is a contiguous kRowTile-wide vector operation sharing
-//    one twiddle load. The butterflies replay FftPlan's tables and the
-//    textbook complex-multiply formula that libstdc++ inlines, so every
-//    row is bit-identical to fft_plan(64) on that symbol alone.
-//  - The fixed-point Viterbi decodes up to ViterbiDecoder::kBatchLanes
-//    packets in lockstep, vectorizing the 32 trellis butterflies across
-//    lanes (see ViterbiDecoder::decode_fixed_batch for the contract).
-//  - Descrambling XORs a cached 127-bit period instead of stepping the
-//    LFSR bit by bit.
-//
-// Stages whose scalar form is serialized through libm or libgcc calls
-// (CFO correction's per-sample sincos, the equalizer's __divdc3 complex
-// division) stay scalar: a vectorized variant could not be bit-identical,
-// and the determinism contract is absolute. See docs/ARCHITECTURE.md.
+// The front end is the scalar chain's receiver_front_end_into() on the
+// lane's workspace, so every OFDM symbol goes through the same 64-point
+// FFT kernel (dsp/fft_kernels.h), and TX assembly is frame_to_samples().
+// Decode replays decode_data_symbols()'s steps, split at the Viterbi
+// call so lanes can meet there.
 //
 // Determinism contract: at any batch width, including B=1, every result
 // byte (PSDU, CRC verdict, equalized points, LLR-derived bits, recovered
@@ -45,21 +32,13 @@
 
 namespace silence {
 
-// Reusable batch workspace: per-lane scalar workspaces plus the shared
-// SoA tile planes. Buffers grow to the largest packet/batch seen and are
-// reused, so steady-state batched processing performs no heap allocation
-// (first use of a lane warms its buffers, like PhyWorkspace).
+// Reusable batch workspace: per-lane scalar workspaces and results.
+// Buffers grow to the largest packet/batch seen and are reused, so
+// steady-state batched processing performs no heap allocation (first use
+// of a lane warms its buffers, like PhyWorkspace).
 struct PhyBatch {
   // Maximum packets per sweep (matches the Viterbi's register width).
   static constexpr std::size_t kMaxLanes = ViterbiDecoder::kBatchLanes;
-  // Symbols per FFT/IFFT tile: 16 rows x 64 bins of split doubles is
-  // 16 KiB, small enough to stay L1-resident through all six stages.
-  static constexpr std::size_t kRowTile = 16;
-
-  // Split-complex tile planes, bin-major / row-minor:
-  // tile_re[bin * kRowTile + row].
-  alignas(32) std::array<double, kFftSize * kRowTile> tile_re{};
-  alignas(32) std::array<double, kFftSize * kRowTile> tile_im{};
 
   // Per-lane scalar scratch (LLRs, survivors, corrected samples, ...).
   std::array<PhyWorkspace, kMaxLanes> lane_ws;
@@ -86,8 +65,7 @@ void set_phy_batch_enabled(bool on);
 
 // --- Single-lane (B=1) facades -------------------------------------------
 // Bit-identical results and observability side effects to the scalar
-// functions of the same name, with tiled FFTs inside one packet and the
-// cached-period descrambler.
+// functions of the same name, run on the batch's first lane.
 
 FrontEndResult receiver_front_end_batch(std::span<const Cx> samples,
                                         PhyBatch& batch);
@@ -96,10 +74,6 @@ DecodeResult decode_data_symbols_batch(const FrontEndResult& fe,
                                        const SilenceMask* silence,
                                        PhyBatch& batch);
 RxPacket receive_packet_batch(std::span<const Cx> samples, PhyBatch& batch);
-
-// Tiled-IFFT transmit assembly (preamble + SIGNAL stay scalar; the data
-// symbols run through the IFFT tile kernel).
-CxVec frame_to_samples_batch(const TxFrame& frame, PhyBatch& batch);
 
 // --- Multi-lane facades ---------------------------------------------------
 // Each lane's result is bit-identical to the scalar chain run on that

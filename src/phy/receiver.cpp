@@ -139,9 +139,22 @@ FrontEndResult receiver_front_end(std::span<const Cx> samples) {
 FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
                                   PhyWorkspace& ws) {
   FrontEndResult fe;
+  receiver_front_end_into(raw_samples, ws, fe);
+  return fe;
+}
+
+void receiver_front_end_into(std::span<const Cx> raw_samples,
+                             PhyWorkspace& ws, FrontEndResult& fe) {
+  fe.preamble_ok = false;
+  fe.signal.reset();
+  fe.channel.fill(Cx{0.0, 0.0});
+  fe.noise_var = 0.0;
+  fe.cfo_hz = 0.0;
+  fe.data_bins.clear();
+  fe.trailer_bins.clear();
   if (raw_samples.size() <
       static_cast<std::size_t>(kPreambleSamples + kSymbolSamples)) {
-    return fe;
+    return;
   }
   OBS_SPAN("phy.rx.frontend");
   OBS_COUNT("phy.rx.packets");
@@ -184,7 +197,7 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
     OBS_SPAN("phy.rx.signal");
     fe.signal = decode_signal_symbol(signal_bins, fe.channel, fe.noise_var, ws);
   }
-  if (!fe.signal) return fe;
+  if (!fe.signal) return;
 
   const int n_sym =
       symbols_for_psdu(static_cast<std::size_t>(fe.signal->length_octets),
@@ -195,7 +208,7 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
           static_cast<std::size_t>(1 + n_sym);
   if (samples.size() < needed) {
     fe.signal.reset();
-    return fe;
+    return;
   }
 
   {
@@ -255,7 +268,6 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
     time_to_bins_into(samples.subspan(offset, kSymbolSamples),
                       fe.trailer_bins.append());
   }
-  return fe;
 }
 
 DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,

@@ -45,6 +45,10 @@ struct FrontEndResult {
 FrontEndResult receiver_front_end(std::span<const Cx> samples);
 FrontEndResult receiver_front_end(std::span<const Cx> samples,
                                   PhyWorkspace& ws);
+// The same front end into a caller-held result, which it overwrites;
+// reusing one keeps its grids' capacity (the batch chain's lanes).
+void receiver_front_end_into(std::span<const Cx> samples, PhyWorkspace& ws,
+                             FrontEndResult& fe);
 
 struct DecodeResult {
   bool crc_ok = false;

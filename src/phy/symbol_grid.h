@@ -30,15 +30,19 @@ class SymbolGrid {
   // Drops all rows but keeps the width and the allocated capacity.
   void clear() { cells_.clear(); }
   void reserve(std::size_t rows) { cells_.reserve(rows * width_); }
+  // New cells are value-initialized, which for std::complex<double> is
+  // (+0.0, +0.0). Growing with an explicit fill value instead makes
+  // libstdc++ reload the value from the stack for every element, a
+  // store-forwarding stall each.
   void resize(std::size_t rows) {
     require_width();
-    cells_.resize(rows * width_, Cx{0.0, 0.0});
+    cells_.resize(rows * width_);
   }
 
   // Appends one zero-initialized row and returns a view of it.
   std::span<Cx> append() {
     require_width();
-    cells_.resize(cells_.size() + width_, Cx{0.0, 0.0});
+    cells_.resize(cells_.size() + width_);
     return std::span<Cx>(cells_).last(width_);
   }
 

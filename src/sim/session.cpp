@@ -63,12 +63,8 @@ PacketReport CosSession::send_packet(
 
   CosTxConfig tx_config(config_.profile, mcs_id);
   tx_config.control_subcarriers = control_subcarriers_;
-  const bool batched = config_.phy_batch != nullptr && phy_batch_enabled();
   const CosTxPacket tx =
-      batched ? cos_transmit(psdu, control_bits.first(bits_to_send),
-                             tx_config, *config_.phy_batch)
-              : cos_transmit(psdu, control_bits.first(bits_to_send),
-                             tx_config);
+      cos_transmit(psdu, control_bits.first(bits_to_send), tx_config);
   report.silences_sent = tx.plan.silence_count;
   report.control_bits_sent = tx.plan.bits_sent;
 
@@ -85,6 +81,7 @@ PacketReport CosSession::send_packet(
       select_control_rate(report.measured_snr_db));
   rx_config.min_feedback_subcarriers = desired_control_subcarriers(
       silence_budget_for_packet(steady_rm, airtime), n_sym);
+  const bool batched = config_.phy_batch != nullptr && phy_batch_enabled();
   report.rx = batched ? cos_receive(received, rx_config, std::nullopt,
                                     *config_.phy_batch)
                       : cos_receive(received, rx_config);

@@ -30,9 +30,9 @@ struct SessionConfig {
   // is kept forever (the "random placement" ablation uses this).
   bool use_selection_feedback = true;
   // When set (and the process-wide switch is on), packets route through
-  // the batched SoA PHY engine using this workspace — bit-identical
-  // results, tiled FFT/IFFT inside each packet. Transient wiring, not a
-  // serialized setting; the owner must outlive the session.
+  // the batched PHY engine using this workspace — bit-identical
+  // results. Transient wiring, not a serialized setting; the owner must
+  // outlive the session.
   PhyBatch* phy_batch = nullptr;
 };
 

@@ -38,6 +38,41 @@ TEST(Bits, BitsToBytesRejectsPartialByte) {
   EXPECT_THROW(bits_to_bytes(bits), std::invalid_argument);
 }
 
+// The per-bit loop bits_to_bytes_into ran before it packed eight bits per
+// byte; the oracle for the packed loop.
+Bytes bits_to_bytes_per_bit(std::span<const std::uint8_t> bits) {
+  Bytes bytes(bits.size() / 8, 0);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    if (bits[i] & 1U) {
+      bytes[i / 8] |= static_cast<std::uint8_t>(1U << (i % 8));
+    }
+  }
+  return bytes;
+}
+
+TEST(Bits, BitsToBytesMatchesPerBitLoop) {
+  Rng rng(9);
+  for (const std::size_t n : {0u, 8u, 64u, 13120u}) {
+    // Bit values other than 0/1 too: only bit 0 of each counts.
+    const Bytes stream = rng.bytes(n);
+    const Bits coin = rng.bits(n);
+    for (const Bits& bits : {Bits(stream.begin(), stream.end()), coin}) {
+      const Bytes expected = bits_to_bytes_per_bit(bits);
+      EXPECT_EQ(bits_to_bytes(bits), expected) << n;
+      // Into a reused buffer, larger and smaller than the result.
+      Bytes out(n / 8 + 5, 0xff);
+      bits_to_bytes_into(bits, out);
+      EXPECT_EQ(out, expected) << n;
+      out.assign(1, 0x5a);
+      bits_to_bytes_into(bits, out);
+      EXPECT_EQ(out, expected) << n;
+    }
+  }
+  Bytes out;
+  EXPECT_THROW(bits_to_bytes_into(Bits(13120 + 3, 1), out),
+               std::invalid_argument);
+}
+
 TEST(Bits, UintConversionsMsbFirst) {
   const Bits bits = uint_to_bits(0b1011, 4);
   EXPECT_EQ(bits, (Bits{1, 0, 1, 1}));

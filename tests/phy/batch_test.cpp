@@ -6,6 +6,7 @@
 // bursts, across batch widths 1..32 including ragged group tails.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -16,6 +17,8 @@
 #include "common/rng.h"
 #include "core/cos_link.h"
 #include "phy/batch.h"
+#include "phy/ofdm.h"
+#include "phy/preamble.h"
 #include "phy/receiver.h"
 #include "phy/scrambler.h"
 #include "phy/transmitter.h"
@@ -116,6 +119,43 @@ TEST(PhyBatch, FrontEndMatchesScalarBitForBit) {
   }
 }
 
+// One +-inf or +-1e308 sample in a data symbol's body drives some of
+// that symbol's complex products to NaN+iNaN, where GCC's multiply
+// recovers infinities through __muldc3 (a bin comes out (-inf, -inf),
+// not (nan, nan)). The batch front end must follow the scalar one there
+// too, at every position tried.
+TEST(PhyBatch, FrontEndMatchesScalarOnNonFiniteSamples) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::array<double, 4> values = {inf, -inf, 1e308, -1e308};
+  PhyBatch batch;
+  for (const std::uint64_t seed : {3u, 4u, 5u}) {
+    const CxVec clean = faded_burst(24, 300, seed);
+    const FrontEndResult clean_fe = receiver_front_end(clean);
+    ASSERT_TRUE(clean_fe.signal.has_value());
+    const std::size_t n_sym = clean_fe.data_bins.size();
+    Rng rng(seed + 100);
+    for (int t = 0; t < 24; ++t) {
+      CxVec burst = clean;
+      const auto sym = static_cast<std::size_t>(rng.uniform_int(0, n_sym - 1));
+      const auto k = static_cast<std::size_t>(rng.uniform_int(0, kFftSize - 1));
+      const double v = values[static_cast<std::size_t>(t) % values.size()];
+      Cx& sample = burst[static_cast<std::size_t>(kPreambleSamples +
+                                                  kSymbolSamples) +
+                         static_cast<std::size_t>(kSymbolSamples) * sym +
+                         kCpLength + k];
+      sample = t % 3 == 0 ? Cx{v, sample.imag()}
+               : t % 3 == 1 ? Cx{sample.real(), v}
+                            : Cx{v, v};
+      const FrontEndResult scalar = receiver_front_end(burst);
+      const FrontEndResult batched = receiver_front_end_batch(burst, batch);
+      ASSERT_TRUE(scalar.signal.has_value());
+      EXPECT_TRUE(grids_bit_equal(scalar.data_bins, batched.data_bins))
+          << "seed " << seed << " symbol " << sym << " sample " << k
+          << " value " << v;
+    }
+  }
+}
+
 TEST(PhyBatch, DecodeMatchesScalarBitForBit) {
   PhyBatch batch;
   for (const int rate : {9, 24, 48}) {
@@ -154,21 +194,36 @@ TEST(PhyBatch, DecodeWithSilenceMaskMatchesScalar) {
   expect_decode_identical(scalar, batched);
 }
 
+// TX has one assembly path, frame_to_samples(), for both chains: every
+// data symbol must equal the portable butterfly loop's IFFT of that
+// symbol plus its cyclic prefix, from a few symbols to a few hundred.
 TEST(PhyBatch, TransmitMatchesScalarBitForBit) {
-  PhyBatch batch;
-  // Symbol counts around the 16-row tile boundary: below, exact multiple,
-  // one over, and a large ragged count.
+  const FftPlan& plan = fft_plan(kFftSize);
   for (const std::size_t octets : {40u, 120u, 340u, 1024u}) {
     Rng rng(octets);
     const Bytes psdu = random_psdu(rng, octets);
     for (const int rate : {6, 24, 54}) {
       const TxFrame frame = build_frame(psdu, mcs_for_rate(rate));
-      const CxVec scalar = frame_to_samples(frame);
-      const CxVec batched = frame_to_samples_batch(frame, batch);
-      ASSERT_EQ(scalar.size(), batched.size());
-      for (std::size_t i = 0; i < scalar.size(); ++i) {
-        ASSERT_TRUE(bit_equal(scalar[i], batched[i]))
-            << "sample " << i << " rate " << rate << " octets " << octets;
+      const CxVec samples = frame_to_samples(frame);
+      ASSERT_EQ(samples.size(),
+                static_cast<std::size_t>(kPreambleSamples + kSymbolSamples) +
+                    static_cast<std::size_t>(kSymbolSamples) *
+                        frame.data_grid.size());
+      CxVec body(kFftSize);
+      for (std::size_t s = 0; s < frame.data_grid.size(); ++s) {
+        assemble_frequency_bins_into(frame.data_grid[s],
+                                     static_cast<int>(s) + 1, body);
+        plan.run(body, /*inverse=*/true);
+        const std::size_t offset =
+            static_cast<std::size_t>(kPreambleSamples + kSymbolSamples) +
+            static_cast<std::size_t>(kSymbolSamples) * s;
+        for (std::size_t k = 0; k < static_cast<std::size_t>(kSymbolSamples);
+             ++k) {
+          const std::size_t from = (k + kFftSize - kCpLength) % kFftSize;
+          ASSERT_TRUE(bit_equal(samples[offset + k], body[from]))
+              << "symbol " << s << " sample " << k << " rate " << rate
+              << " octets " << octets;
+        }
       }
     }
   }
