@@ -49,15 +49,13 @@ struct BenchArgs {
 };
 
 // A bench-specific flag rides along in parse_bench_args: `flag` takes
-// one value (unless `takes_value` is false, for boolean switches),
-// `help` is a usage line, `parse` receives the value ("" for switches).
+// one value, `help` is a usage line, `parse` receives the value.
 // A bench that shards over the fabric must append its extra flags to
 // FabricConfig::passthrough_args itself so workers rebuild the same grid.
 struct ExtraFlag {
   const char* flag;
   const char* help;
   std::function<void(const char* value)> parse;
-  bool takes_value = true;
 };
 
 // Parses the shared flags; exits with a usage message on --help or any
@@ -146,7 +144,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
       bool matched = false;
       for (const ExtraFlag& extra : extras) {
         if (!std::strcmp(argv[i], extra.flag)) {
-          extra.parse(extra.takes_value ? numeric_value(i) : "");
+          extra.parse(numeric_value(i));
           matched = true;
           break;
         }

@@ -31,7 +31,6 @@
 
 #include "bench_util.h"
 #include "net/scenario.h"
-#include "phy/batch.h"
 #include "runner/sinks.h"
 #include "runner/sweep.h"
 
@@ -202,7 +201,6 @@ int main(int argc, char** argv) {
   std::string stas_csv;
   std::string topology_path;
   std::string traffic_spec = "saturated";
-  bool no_phy_batch = false;
   const bench::BenchArgs args = bench::parse_bench_args(
       argc, argv, "net_scenarios",
       {{"--stas",
@@ -216,14 +214,7 @@ int main(int argc, char** argv) {
        {"--traffic",
         "per-station offered load: saturated (default), poisson:RATE\n"
         "                or onoff:RATE:MEAN_ON_US:MEAN_OFF_US",
-        [&traffic_spec](const char* v) { traffic_spec = v; }},
-       {"--no-phy-batch",
-        "route every packet through the scalar PHY chain instead of\n"
-        "                the batched SoA engine (CI A/Bs the two paths for\n"
-        "                byte-identical output)",
-        [&no_phy_batch](const char*) { no_phy_batch = true; },
-        /*takes_value=*/false}});
-  if (no_phy_batch) set_phy_batch_enabled(false);
+        [&traffic_spec](const char* v) { traffic_spec = v; }}});
   if (!topology_path.empty() && !stas_csv.empty()) {
     std::fprintf(stderr,
                  "net_scenarios: --topology and --stas are exclusive\n");
@@ -263,10 +254,6 @@ int main(int argc, char** argv) {
   if (traffic_spec != "saturated") {
     fab_config.passthrough_args.push_back("--traffic");
     fab_config.passthrough_args.push_back(traffic_spec);
-  }
-  if (no_phy_batch) {
-    // Workers must run the same engine.
-    fab_config.passthrough_args.push_back("--no-phy-batch");
   }
   fabric::Fabric fab(std::move(fab_config));
   if (!fab.worker_mode()) {

@@ -33,7 +33,6 @@
 #include "core/cos_link.h"
 #include "dsp/fft_kernels.h"
 #include "obs/obs.h"
-#include "phy/batch.h"
 #include "phy/convolutional.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
@@ -45,9 +44,9 @@
 namespace silence {
 namespace {
 
-// Items conventions (so batch/scalar items_per_second ratios read as
-// speedups directly): chain-level benches count PSDU bytes, kernel-level
-// benches count samples or bits.
+// Items conventions: chain-level benches count PSDU bytes, kernel-level
+// benches count samples or bits, so the items_per_second ratio of two
+// rows doing the same work reads as a speedup (CI's ratio gates).
 constexpr std::size_t kBenchPsduBytes = 1024;
 
 Bytes bench_psdu(std::size_t total) {
@@ -138,10 +137,6 @@ void BM_TransmitChain(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_TransmitChain);
-// The batch chain's TX is frame_to_samples() too; the row keeps its name
-// while the committed baseline gates it.
-[[maybe_unused]] benchmark::internal::Benchmark* const kTransmitChainBatch =
-    benchmark::RegisterBenchmark("BM_TransmitChainBatch", BM_TransmitChain);
 
 void BM_ReceiveChain(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -154,25 +149,6 @@ void BM_ReceiveChain(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_ReceiveChain);
-
-// B bursts per pass through the batched engine: items = B x PSDU bytes,
-// so items_per_second here over BM_ReceiveChain's is the batch speedup.
-void BM_ReceiveChainBatch(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  const Mcs& mcs = mcs_for_rate(24);
-  const CxVec samples = frame_to_samples(build_frame(psdu, mcs));
-  const std::vector<std::span<const Cx>> bursts(width, std::span(samples));
-  std::vector<RxPacket> out(width);
-  PhyBatch batch;
-  for (auto _ : state) {
-    receive_packet_batch(bursts, batch, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(width * kBenchPsduBytes));
-}
-BENCHMARK(BM_ReceiveChainBatch)->Arg(1)->Arg(8)->Arg(32);
 
 void BM_CosTransmit(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -188,22 +164,6 @@ void BM_CosTransmit(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_CosTransmit);
-
-void BM_CosTransmitBatch(benchmark::State& state) {
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  Rng rng(4);
-  const Bits control = rng.bits(96);
-  CosTxConfig config;
-  config.mcs = McsId::for_rate(24);
-  config.control_subcarriers = {10, 11, 12, 13, 14, 15, 16, 17};
-  PhyBatch batch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cos_transmit(psdu, control, config, batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(kBenchPsduBytes));
-}
-BENCHMARK(BM_CosTransmitBatch);
 
 void BM_CosReceive(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -222,28 +182,6 @@ void BM_CosReceive(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_CosReceive);
-
-void BM_CosReceiveBatch(benchmark::State& state) {
-  const auto width = static_cast<std::size_t>(state.range(0));
-  const Bytes psdu = bench_psdu(kBenchPsduBytes);
-  Rng rng(5);
-  const Bits control = rng.bits(96);
-  CosTxConfig tx_config;
-  tx_config.mcs = McsId::for_rate(24);
-  tx_config.control_subcarriers = {10, 11, 12, 13, 14, 15, 16, 17};
-  const CosTxPacket tx = cos_transmit(psdu, control, tx_config);
-  CosRxConfig rx_config;
-  rx_config.control_subcarriers = tx_config.control_subcarriers;
-  const std::vector<std::span<const Cx>> bursts(width, std::span(tx.samples));
-  PhyBatch batch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cos_receive_batch(bursts, rx_config, std::nullopt, batch));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(width * kBenchPsduBytes));
-}
-BENCHMARK(BM_CosReceiveBatch)->Arg(8);
 
 void BM_FadingChannelTransmit(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -298,33 +236,6 @@ void BM_ComplexGaussianStdlib(benchmark::State& state) {
                           static_cast<long>(samples.size()));
 }
 BENCHMARK(BM_ComplexGaussianStdlib);
-
-// Lane-batched fixed-point Viterbi vs the scalar kernel it extends:
-// 8 identical-length lanes decoded lockstep.
-void BM_ViterbiDecodeFixedBatch(benchmark::State& state) {
-  const auto bits = static_cast<std::size_t>(state.range(0));
-  Rng rng(3);
-  Bits info = rng.bits(bits);
-  info.insert(info.end(), 6, 0);
-  const Bits coded = convolutional_encode(info);
-  std::vector<double> llrs(coded.size());
-  for (std::size_t i = 0; i < coded.size(); ++i) {
-    llrs[i] = coded[i] ? -4.0 : 4.0;
-  }
-  const ViterbiDecoder decoder;
-  ViterbiBatchWorkspace ws;
-  const std::vector<std::span<const double>> lanes(
-      ViterbiDecoder::kBatchLanes, std::span<const double>(llrs));
-  std::vector<Bits> out(lanes.size());
-  decoder.decode_fixed_batch(lanes, true, ws, out);  // warm the workspace
-  for (auto _ : state) {
-    decoder.decode_fixed_batch(lanes, true, ws, out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<long>(bits * lanes.size()));
-}
-BENCHMARK(BM_ViterbiDecodeFixedBatch)->Arg(1024)->Arg(8214);
 
 std::string cpu_model() {
 #if defined(__x86_64__) || defined(__i386__)

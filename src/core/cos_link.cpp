@@ -33,12 +33,6 @@ CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
   return packet;
 }
 
-CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
-                         std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config, PhyBatch& /*batch*/) {
-  return cos_transmit(psdu, control_bits, config);
-}
-
 SymbolGrid reconstruct_ideal_grid(const DecodeResult& decode,
                                   const Mcs& mcs) {
   if (!decode.crc_ok) {
@@ -54,11 +48,14 @@ CosRxPacket cos_receive(std::span<const Cx> samples,
   return cos_receive(samples, config, next_mod, default_phy_workspace());
 }
 
-namespace {
-
-// Energy detection + interval decode on an already-run front end.
-// Requires packet.fe.signal.
-void detect_control_message(CosRxPacket& packet, const CosRxConfig& config) {
+CosRxPacket cos_receive(std::span<const Cx> samples,
+                        const CosRxConfig& config,
+                        std::optional<Modulation> next_mod, PhyWorkspace& ws) {
+  OBS_SPAN("cos.rx");
+  OBS_COUNT("cos.rx.packets");
+  CosRxPacket packet;
+  packet.fe = receiver_front_end(samples, ws);
+  if (!packet.fe.signal) return packet;
   const Mcs& mcs = *packet.fe.signal->mcs;
 
   // Energy detection locates silence symbols before demodulation
@@ -88,14 +85,11 @@ void detect_control_message(CosRxPacket& packet, const CosRxConfig& config) {
   }
   FLIGHT_EVENT("cos.control", obs::flight::kNoIndex, obs::flight::kNoIndex,
                packet.control_bits.size(), detected_silences, 0);
-}
 
-// Post-decode analysis: CRC verdict, per-subcarrier EVM, next-packet
-// control-subcarrier selection, health accounting. Requires
-// packet.fe.signal and packet.decode already filled.
-void analyze_decoded_packet(CosRxPacket& packet, const CosRxConfig& config,
-                            std::optional<Modulation> next_mod) {
-  const Mcs& mcs = *packet.fe.signal->mcs;
+  // Data decode with EVD over the detected mask.
+  packet.decode =
+      decode_data_symbols(packet.fe, mcs, packet.fe.signal->length_octets,
+                          &packet.detected_mask, ws);
   packet.data_ok = packet.decode.crc_ok;
   packet.psdu = packet.decode.psdu;
 
@@ -145,81 +139,7 @@ void analyze_decoded_packet(CosRxPacket& packet, const CosRxConfig& config,
   // Sampled pid-3 counter tracks for armed traces; a relaxed-load no-op
   // otherwise. Per received packet, like the sim/net layer hooks.
   obs::health::maybe_trace_counters();
-}
-
-}  // namespace
-
-CosRxPacket cos_receive(std::span<const Cx> samples,
-                        const CosRxConfig& config,
-                        std::optional<Modulation> next_mod, PhyWorkspace& ws) {
-  OBS_SPAN("cos.rx");
-  OBS_COUNT("cos.rx.packets");
-  CosRxPacket packet;
-  packet.fe = receiver_front_end(samples, ws);
-  if (!packet.fe.signal) return packet;
-  const Mcs& mcs = *packet.fe.signal->mcs;
-
-  detect_control_message(packet, config);
-
-  // Data decode with EVD over the detected mask.
-  packet.decode =
-      decode_data_symbols(packet.fe, mcs, packet.fe.signal->length_octets,
-                          &packet.detected_mask, ws);
-  analyze_decoded_packet(packet, config, next_mod);
   return packet;
-}
-
-CosRxPacket cos_receive(std::span<const Cx> samples,
-                        const CosRxConfig& config,
-                        std::optional<Modulation> next_mod, PhyBatch& batch) {
-  OBS_SPAN("cos.rx");
-  OBS_COUNT("cos.rx.packets");
-  CosRxPacket packet;
-  packet.fe = receiver_front_end_batch(samples, batch);
-  if (!packet.fe.signal) return packet;
-  const Mcs& mcs = *packet.fe.signal->mcs;
-
-  detect_control_message(packet, config);
-  packet.decode = decode_data_symbols_batch(
-      packet.fe, mcs, packet.fe.signal->length_octets, &packet.detected_mask,
-      batch);
-  analyze_decoded_packet(packet, config, next_mod);
-  return packet;
-}
-
-std::vector<CosRxPacket> cos_receive_batch(
-    std::span<const std::span<const Cx>> bursts, const CosRxConfig& config,
-    std::optional<Modulation> next_mod, PhyBatch& batch) {
-  std::vector<CosRxPacket> out(bursts.size());
-  if (bursts.empty()) return out;
-  OBS_SPAN("cos.rx");
-
-  // Phase 1: front end + silence detection per burst. The front-end
-  // results must be stable before the grouped decode takes lane views,
-  // and `out` is preallocated, so the pointers below don't move.
-  std::vector<DecodeLane> lanes(bursts.size());
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    OBS_COUNT("cos.rx.packets");
-    out[i].fe = receiver_front_end_batch(bursts[i], batch);
-    if (!out[i].fe.signal) continue;
-    detect_control_message(out[i], config);
-    lanes[i].fe = &out[i].fe;
-    lanes[i].mcs = &*out[i].fe.signal->mcs;
-    lanes[i].length_octets = out[i].fe.signal->length_octets;
-    lanes[i].silence = &out[i].detected_mask;
-  }
-
-  // Phase 2: grouped data decode, Viterbi lane-batched across packets.
-  std::vector<DecodeResult> decodes(bursts.size());
-  decode_data_symbols_batch(lanes, batch, decodes);
-
-  // Phase 3: per-packet CRC/EVM/selection analysis.
-  for (std::size_t i = 0; i < bursts.size(); ++i) {
-    if (!out[i].fe.signal) continue;
-    out[i].decode = std::move(decodes[i]);
-    analyze_decoded_packet(out[i], config, next_mod);
-  }
-  return out;
 }
 
 }  // namespace silence

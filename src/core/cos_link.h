@@ -28,7 +28,6 @@
 #include "core/interval_code.h"
 #include "core/silence_plan.h"
 #include "core/subcarrier_selection.h"
-#include "phy/batch.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
 
@@ -60,12 +59,6 @@ struct CosTxPacket {
 CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
                          std::span<const std::uint8_t> control_bits,
                          const CosTxConfig& config);
-// Batched-engine variant: the same call, since TX has one assembly path
-// (frame_to_samples). It stays with the other PhyBatch& overloads until
-// the batch facades are retired as a whole (ROADMAP item 3).
-CosTxPacket cos_transmit(std::span<const std::uint8_t> psdu,
-                         std::span<const std::uint8_t> control_bits,
-                         const CosTxConfig& config, PhyBatch& batch);
 
 struct CosRxPacket {
   // PHY results.
@@ -92,19 +85,6 @@ CosRxPacket cos_receive(std::span<const Cx> samples,
 CosRxPacket cos_receive(std::span<const Cx> samples,
                         const CosRxConfig& config,
                         std::optional<Modulation> next_mod, PhyWorkspace& ws);
-// Batched-engine variant: bit-identical CosRxPacket (front end on the
-// batch's first lane, decode through the batch facade).
-CosRxPacket cos_receive(std::span<const Cx> samples,
-                        const CosRxConfig& config,
-                        std::optional<Modulation> next_mod, PhyBatch& batch);
-
-// Receives many independent CoS bursts sharing one config, grouped so
-// the Viterbi runs lane-batched across packets. Each packet's bytes are
-// identical to cos_receive on that burst alone; observability events
-// interleave by phase rather than by packet (counter totals match).
-std::vector<CosRxPacket> cos_receive_batch(
-    std::span<const std::span<const Cx>> bursts, const CosRxConfig& config,
-    std::optional<Modulation> next_mod, PhyBatch& batch);
 
 // Reconstructs the transmitted constellation grid from a successfully
 // decoded packet (re-mapping decoded bits through the transmit chain),

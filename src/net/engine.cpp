@@ -58,20 +58,15 @@ void NetSim::init(const Scenario& scenario, std::uint64_t seed) {
   saturated_ = scenario_.traffic.saturated();
 
   // Stations hold a CosSession referencing their own Link, so they are
-  // pinned in memory. They all share one batched-PHY workspace: even
-  // when PPDUs overlap in simulated time across BSSs, the event loop
-  // processes frame exchanges strictly sequentially, and the batch
-  // facades are bit-identical to the scalar chain. `--no-phy-batch`
-  // (via set_phy_batch_enabled) reverts every session to the scalar
-  // path.
+  // pinned in memory. They all share one PHY workspace: even when PPDUs
+  // overlap in simulated time across BSSs, the event loop processes
+  // frame exchanges strictly sequentially.
   const int n = scenario_.topology.total_stations();
-  phy_batch_ = std::make_unique<PhyBatch>();
   stations_.reserve(static_cast<std::size_t>(n));
   station_bss_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     stations_.push_back(std::make_unique<Station>(
-        scenario_, i, scenario_.topology.station_snr_db(i), seed,
-        phy_batch_.get()));
+        scenario_, i, scenario_.topology.station_snr_db(i), seed, phy_ws_));
     station_bss_.push_back(scenario_.topology.station_bss(i));
   }
   // One fading step per logged stretch is built from one member's

@@ -77,6 +77,9 @@ class NetSim {
   NetSim(const Scenario& scenario, std::uint64_t seed) {
     init(scenario, seed);
   }
+  // Sessions point at phy_ws_, so a NetSim stays where it was built.
+  NetSim(const NetSim&) = delete;
+  NetSim& operator=(const NetSim&) = delete;
 
   // Builds stations, seeds the arrival streams and schedules the first
   // round of every BSS. Throws std::invalid_argument on a malformed
@@ -199,7 +202,10 @@ class NetSim {
   void pregenerate_arrivals(std::uint64_t seed);
 
   Scenario scenario_;
-  std::unique_ptr<PhyBatch> phy_batch_;
+  // The PHY scratch every station's session receives through. Owned per
+  // run rather than the thread's default_phy_workspace(): see the
+  // "One PHY chain" note in docs/ARCHITECTURE.md.
+  PhyWorkspace phy_ws_;
   std::vector<std::unique_ptr<Station>> stations_;
   std::vector<int> station_bss_;
   std::vector<BssState> bss_;

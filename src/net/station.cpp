@@ -32,12 +32,12 @@ LinkConfig link_config_for(const Scenario& scenario, int index,
 }
 
 SessionConfig session_config_for(const Scenario& scenario,
-                                 PhyBatch* phy_batch) {
+                                 PhyWorkspace& workspace) {
   SessionConfig config;
   config.profile = scenario.cos;
   config.fixed_rate_mbps = scenario.fixed_rate_mbps;
   config.use_selection_feedback = scenario.use_selection_feedback;
-  config.phy_batch = phy_batch;
+  config.workspace = &workspace;
   return config;
 }
 
@@ -60,7 +60,7 @@ std::size_t planned_aggregate_octets(std::size_t mpdus,
 }  // namespace
 
 Station::Station(const Scenario& scenario, int index, double snr_db,
-                 std::uint64_t seed, PhyBatch* phy_batch)
+                 std::uint64_t seed, PhyWorkspace& workspace)
     : mpdus_per_frame_(
           clamp_mpdus(scenario, scenario.mpdu_octets + kMacOverheadOctets)),
       mpdu_payload_octets_(scenario.mpdu_octets),
@@ -72,7 +72,7 @@ Station::Station(const Scenario& scenario, int index, double snr_db,
       traffic_rng_(runner::substream_seed(
           seed, kTrafficStream + static_cast<std::uint64_t>(index))),
       link_(link_config_for(scenario, index, snr_db, seed)),
-      session_(link_, session_config_for(scenario, phy_batch)) {
+      session_(link_, session_config_for(scenario, workspace)) {
   backoff_.restart(traffic_rng_);
 }
 

@@ -18,14 +18,13 @@ class Station {
  public:
   // `index` is the station's global position across the scenario's BSSs
   // (0-based); it selects the seed substreams. `snr_db` is the station's
-  // measured-SNR placement (Topology::station_snr_db). `phy_batch`
-  // optionally routes this station's PHY through the batched SoA engine
-  // (bit-identical results); the engine shares one workspace across all
-  // stations, which is safe because frame exchanges are processed
-  // strictly sequentially in event order even when their simulated
-  // intervals overlap across BSSs.
+  // measured-SNR placement (Topology::station_snr_db). `workspace` is
+  // the session's PHY scratch and must outlive the station; NetSim shares
+  // one across all stations, which is safe because frame exchanges are
+  // processed strictly sequentially in event order even when their
+  // simulated intervals overlap across BSSs.
   Station(const Scenario& scenario, int index, double snr_db,
-          std::uint64_t seed, PhyBatch* phy_batch = nullptr);
+          std::uint64_t seed, PhyWorkspace& workspace);
 
   // Outcome of one solo medium acquisition. The per-MPDU/control fields
   // let the scheduler narrate the exchange on the MAC timeline without

@@ -46,8 +46,8 @@ std::array<double, kNumDataSubcarriers> data_llr_weights(
   return weights;
 }
 
-}  // namespace
-
+// Decodes the SIGNAL symbol from its raw (unequalized) 64-bin FFT output
+// using the LTF channel estimate.
 std::optional<SignalField> decode_signal_symbol(
     std::span<const Cx> signal_bins, const std::array<Cx, kFftSize>& channel,
     double noise_var, PhyWorkspace& ws) {
@@ -64,6 +64,8 @@ std::optional<SignalField> decode_signal_symbol(
                           ws.scrambled);
   return parse_signal_bits(std::span(ws.scrambled).first(24));
 }
+
+}  // namespace
 
 void equalize_data_points_into(std::span<const Cx> bins64,
                                const std::array<Cx, kFftSize>& channel,
@@ -139,22 +141,9 @@ FrontEndResult receiver_front_end(std::span<const Cx> samples) {
 FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
                                   PhyWorkspace& ws) {
   FrontEndResult fe;
-  receiver_front_end_into(raw_samples, ws, fe);
-  return fe;
-}
-
-void receiver_front_end_into(std::span<const Cx> raw_samples,
-                             PhyWorkspace& ws, FrontEndResult& fe) {
-  fe.preamble_ok = false;
-  fe.signal.reset();
-  fe.channel.fill(Cx{0.0, 0.0});
-  fe.noise_var = 0.0;
-  fe.cfo_hz = 0.0;
-  fe.data_bins.clear();
-  fe.trailer_bins.clear();
   if (raw_samples.size() <
       static_cast<std::size_t>(kPreambleSamples + kSymbolSamples)) {
-    return;
+    return fe;
   }
   OBS_SPAN("phy.rx.frontend");
   OBS_COUNT("phy.rx.packets");
@@ -197,7 +186,7 @@ void receiver_front_end_into(std::span<const Cx> raw_samples,
     OBS_SPAN("phy.rx.signal");
     fe.signal = decode_signal_symbol(signal_bins, fe.channel, fe.noise_var, ws);
   }
-  if (!fe.signal) return;
+  if (!fe.signal) return fe;
 
   const int n_sym =
       symbols_for_psdu(static_cast<std::size_t>(fe.signal->length_octets),
@@ -208,7 +197,7 @@ void receiver_front_end_into(std::span<const Cx> raw_samples,
           static_cast<std::size_t>(1 + n_sym);
   if (samples.size() < needed) {
     fe.signal.reset();
-    return;
+    return fe;
   }
 
   {
@@ -268,6 +257,7 @@ void receiver_front_end_into(std::span<const Cx> raw_samples,
     time_to_bins_into(samples.subspan(offset, kSymbolSamples),
                       fe.trailer_bins.append());
   }
+  return fe;
 }
 
 DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,

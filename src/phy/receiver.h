@@ -45,10 +45,6 @@ struct FrontEndResult {
 FrontEndResult receiver_front_end(std::span<const Cx> samples);
 FrontEndResult receiver_front_end(std::span<const Cx> samples,
                                   PhyWorkspace& ws);
-// The same front end into a caller-held result, which it overwrites;
-// reusing one keeps its grids' capacity (the batch chain's lanes).
-void receiver_front_end_into(std::span<const Cx> samples, PhyWorkspace& ws,
-                             FrontEndResult& fe);
 
 struct DecodeResult {
   bool crc_ok = false;
@@ -91,19 +87,11 @@ RxPacket receive_packet(std::span<const Cx> samples, PhyWorkspace& ws);
 // (preceded by noise/idle): runs STF/LTF timing acquisition first.
 RxPacket receive_packet_unaligned(std::span<const Cx> samples);
 
-// Decodes the SIGNAL symbol from its raw (unequalized) 64-bin FFT output
-// using the LTF channel estimate. Shared by the scalar and batched front
-// ends (phy/batch.h).
-std::optional<SignalField> decode_signal_symbol(
-    std::span<const Cx> signal_bins, const std::array<Cx, kFftSize>& channel,
-    double noise_var, PhyWorkspace& ws);
-
 // Max-log demap of a packet's equalized data grid (48 points per row)
 // into `llrs`, resized to rows * n_cbps: one demod_row_llrs() pass per
 // row, with each subcarrier's weight computed once per packet from
 // max(|H|^2, 1e-9) and `noise_var`. Rows of `silence` (may be null) mark
-// EVD erasures. Returns the number of erased bits. Shared by the scalar
-// and batched decoders.
+// EVD erasures. Returns the number of erased bits.
 std::size_t demap_data_symbols(const SymbolGrid& eq_data,
                                const std::array<Cx, kFftSize>& channel,
                                double noise_var, const Mcs& mcs,

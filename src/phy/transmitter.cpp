@@ -94,7 +94,7 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
   return frame;
 }
 
-CxVec frame_samples_prefix(const TxFrame& frame) {
+CxVec frame_to_samples(const TxFrame& frame) {
   if (!frame.mcs.valid()) {
     throw std::invalid_argument("frame_to_samples: empty frame");
   }
@@ -108,27 +108,23 @@ CxVec frame_samples_prefix(const TxFrame& frame) {
   const std::span<Cx> out(samples);
   std::copy(preamble.begin(), preamble.end(), out.begin());
 
-  // SIGNAL symbol (BPSK, rate 1/2, not scrambled), pilot index 0.
-  const Mcs& bpsk = mcs_for_rate(6);
-  const Bits signal_bits =
-      encode_signal_bits(*frame.mcs, static_cast<int>(frame.psdu_octets));
-  const Bits signal_coded = convolutional_encode(signal_bits);
-  const Bits signal_inter = interleave(signal_coded, bpsk);
-  std::array<Cx, kNumDataSubcarriers> signal_points;
-  map_bits_into(signal_inter, Modulation::kBpsk, signal_points);
+  // SIGNAL symbol (BPSK, rate 1/2, not scrambled), pilot index 0. Its
+  // temporaries are scoped so they are freed before the data symbols.
   std::array<Cx, kFftSize> bins;
-  assemble_frequency_bins_into(signal_points, 0, bins);
-  bins_to_time_into(bins, out.subspan(kPreambleSamples, kSymbolSamples));
-  return samples;
-}
-
-CxVec frame_to_samples(const TxFrame& frame) {
-  CxVec samples = frame_samples_prefix(frame);
-  const std::span<Cx> out(samples);
+  {
+    const Mcs& bpsk = mcs_for_rate(6);
+    const Bits signal_bits =
+        encode_signal_bits(*frame.mcs, static_cast<int>(frame.psdu_octets));
+    const Bits signal_coded = convolutional_encode(signal_bits);
+    const Bits signal_inter = interleave(signal_coded, bpsk);
+    std::array<Cx, kNumDataSubcarriers> signal_points;
+    map_bits_into(signal_inter, Modulation::kBpsk, signal_points);
+    assemble_frequency_bins_into(signal_points, 0, bins);
+    bins_to_time_into(bins, out.subspan(kPreambleSamples, kSymbolSamples));
+  }
 
   // Data symbols: pilot indices 1..n, written straight into the output
   // burst (the IFFT runs in place on the destination span).
-  std::array<Cx, kFftSize> bins;
   {
     OBS_SPAN("phy.tx.ifft");
     for (int s = 0; s < frame.num_symbols(); ++s) {

@@ -44,11 +44,6 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
 // Full burst: 320 preamble samples, 80 SIGNAL samples, 80 per data symbol.
 CxVec frame_to_samples(const TxFrame& frame);
 
-// Allocates the full burst and writes the preamble and SIGNAL symbol;
-// the data-symbol region is zero. Shared by the scalar and batched
-// (phy/batch.h) sample assembly.
-CxVec frame_samples_prefix(const TxFrame& frame);
-
 // Number of OFDM data symbols needed for `psdu_octets` at `mcs`.
 int symbols_for_psdu(std::size_t psdu_octets, const Mcs& mcs);
 

@@ -269,13 +269,13 @@ const KernelList& kernel_list() {
     // Idempotent; makes the check safe even from a static initializer.
     __builtin_cpu_init();
     if (__builtin_cpu_supports("avx2")) {
-      l.kernels[l.count++] = {"avx2", acs_avx2, true};
+      l.kernels[l.count++] = {"avx2", acs_avx2};
     }
 #endif
 #if defined(__SSE2__)
-    l.kernels[l.count++] = {"sse2", acs_sse2, false};
+    l.kernels[l.count++] = {"sse2", acs_sse2};
 #endif
-    l.kernels[l.count++] = {"generic", acs_generic, false};
+    l.kernels[l.count++] = {"generic", acs_generic};
     return l;
   }();
   return list;
@@ -367,12 +367,6 @@ ViterbiDecoder::ViterbiDecoder()
                     static_cast<std::size_t>(input)] =
           conv_output(state, input);
     }
-  }
-  const viterbi_kernels::ButterflySigns& signs =
-      viterbi_kernels::butterfly_signs();
-  for (int j = 0; j < kNumStates / 2; ++j) {
-    combo_idx_[j] = static_cast<std::uint8_t>((signs.a[j] < 0 ? 2 : 0) |
-                                              (signs.b[j] < 0 ? 1 : 0));
   }
 }
 
@@ -518,261 +512,6 @@ void ViterbiDecoder::decode_fixed(std::span<const double> llrs,
     }
   }
   traceback(ws, steps, state, out);
-}
-
-namespace {
-
-// One trellis step for kBatchLanes lanes in lockstep. Metric layout is
-// lane-interleaved: metric[state * kBatchLanes + lane]. `combos` holds
-// the four branch-metric values {la+lb, la-lb, -la+lb, -la-lb} per lane;
-// `combo_idx[j]` selects the one that equals the scalar path's g[j].
-// `survivors` receives one byte per next-state, bit `lane` = predecessor
-// parity, matching decode_fixed's per-step survivor word bit for bit.
-using BatchStepFn = void (*)(const std::int32_t* metric,
-                             std::int32_t* next_metric,
-                             const std::int32_t (*combos)[8],
-                             const std::uint8_t* combo_idx,
-                             std::uint8_t* survivors);
-
-[[maybe_unused]] void batch_step_generic(const std::int32_t* metric,
-                                         std::int32_t* next_metric,
-                                         const std::int32_t (*combos)[8],
-                                         const std::uint8_t* combo_idx,
-                                         std::uint8_t* survivors) {
-  constexpr int kLanes = static_cast<int>(ViterbiDecoder::kBatchLanes);
-  for (int j = 0; j < kNumStates / 2; ++j) {
-    const std::int32_t* g = combos[combo_idx[j]];
-    const std::int32_t* me = metric + (2 * j) * kLanes;
-    const std::int32_t* mo = metric + (2 * j + 1) * kLanes;
-    std::uint32_t bits0 = 0;
-    std::uint32_t bits1 = 0;
-    for (int l = 0; l < kLanes; ++l) {
-      const std::int32_t a0 = me[l] + g[l];
-      const std::int32_t a1 = mo[l] - g[l];
-      const bool p = a1 > a0;
-      next_metric[j * kLanes + l] = p ? a1 : a0;
-      bits0 |= static_cast<std::uint32_t>(p) << l;
-      const std::int32_t b0 = me[l] - g[l];
-      const std::int32_t b1 = mo[l] + g[l];
-      const bool r = b1 > b0;
-      next_metric[(j + kNumStates / 2) * kLanes + l] = r ? b1 : b0;
-      bits1 |= static_cast<std::uint32_t>(r) << l;
-    }
-    survivors[j] = static_cast<std::uint8_t>(bits0);
-    survivors[j + kNumStates / 2] = static_cast<std::uint8_t>(bits1);
-  }
-}
-
-#if defined(__SSE2__)
-void batch_step_sse2(const std::int32_t* metric, std::int32_t* next_metric,
-                     const std::int32_t (*combos)[8],
-                     const std::uint8_t* combo_idx,
-                     std::uint8_t* survivors) {
-  for (int j = 0; j < kNumStates / 2; ++j) {
-    const std::int32_t* g = combos[combo_idx[j]];
-    const std::int32_t* me = metric + (2 * j) * 8;
-    const std::int32_t* mo = metric + (2 * j + 1) * 8;
-    std::uint32_t bits0 = 0;
-    std::uint32_t bits1 = 0;
-    for (int h = 0; h < 8; h += 4) {
-      const __m128i gv =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(g + h));
-      const __m128i ev =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(me + h));
-      const __m128i ov =
-          _mm_load_si128(reinterpret_cast<const __m128i*>(mo + h));
-
-      const __m128i a0 = _mm_add_epi32(ev, gv);
-      const __m128i a1 = _mm_sub_epi32(ov, gv);
-      const __m128i p = _mm_cmpgt_epi32(a1, a0);
-      const __m128i max0 =
-          _mm_or_si128(_mm_and_si128(p, a1), _mm_andnot_si128(p, a0));
-      _mm_store_si128(reinterpret_cast<__m128i*>(next_metric + j * 8 + h),
-                      max0);
-      bits0 |= static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(p)))
-               << h;
-
-      const __m128i b0 = _mm_sub_epi32(ev, gv);
-      const __m128i b1 = _mm_add_epi32(ov, gv);
-      const __m128i r = _mm_cmpgt_epi32(b1, b0);
-      const __m128i max1 =
-          _mm_or_si128(_mm_and_si128(r, b1), _mm_andnot_si128(r, b0));
-      _mm_store_si128(
-          reinterpret_cast<__m128i*>(next_metric + (j + kNumStates / 2) * 8 +
-                                     h),
-          max1);
-      bits1 |= static_cast<std::uint32_t>(_mm_movemask_ps(_mm_castsi128_ps(r)))
-               << h;
-    }
-    survivors[j] = static_cast<std::uint8_t>(bits0);
-    survivors[j + kNumStates / 2] = static_cast<std::uint8_t>(bits1);
-  }
-}
-#endif
-
-#if defined(__x86_64__) || defined(__i386__)
-__attribute__((target("avx2"))) void batch_step_avx2(
-    const std::int32_t* metric, std::int32_t* next_metric,
-    const std::int32_t (*combos)[8], const std::uint8_t* combo_idx,
-    std::uint8_t* survivors) {
-  for (int j = 0; j < kNumStates / 2; ++j) {
-    const __m256i gv = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(combos[combo_idx[j]]));
-    const __m256i ev = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(metric + (2 * j) * 8));
-    const __m256i ov = _mm256_load_si256(
-        reinterpret_cast<const __m256i*>(metric + (2 * j + 1) * 8));
-
-    const __m256i a0 = _mm256_add_epi32(ev, gv);
-    const __m256i a1 = _mm256_sub_epi32(ov, gv);
-    _mm256_store_si256(reinterpret_cast<__m256i*>(next_metric + j * 8),
-                       _mm256_max_epi32(a0, a1));
-    survivors[j] = static_cast<std::uint8_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(a1, a0))));
-
-    const __m256i b0 = _mm256_sub_epi32(ev, gv);
-    const __m256i b1 = _mm256_add_epi32(ov, gv);
-    _mm256_store_si256(
-        reinterpret_cast<__m256i*>(next_metric + (j + kNumStates / 2) * 8),
-        _mm256_max_epi32(b0, b1));
-    survivors[j + kNumStates / 2] = static_cast<std::uint8_t>(
-        _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpgt_epi32(b1, b0))));
-  }
-}
-#endif
-
-BatchStepFn select_batch_step() {
-#if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return batch_step_avx2;
-#endif
-#if defined(__SSE2__)
-  return batch_step_sse2;
-#else
-  return batch_step_generic;
-#endif
-}
-
-}  // namespace
-
-void ViterbiDecoder::decode_fixed_batch(
-    std::span<const std::span<const double>> llrs, bool terminated,
-    ViterbiBatchWorkspace& ws, std::span<Bits> out) const {
-  const std::size_t nlanes = llrs.size();
-  if (nlanes == 0 || nlanes > kBatchLanes) {
-    throw std::invalid_argument(
-        "decode_fixed_batch: lane count must be in [1, kBatchLanes]");
-  }
-  if (out.size() != nlanes) {
-    throw std::invalid_argument("decode_fixed_batch: output size mismatch");
-  }
-
-  std::size_t steps[kBatchLanes] = {};
-  bool in_batch[kBatchLanes] = {};
-  std::size_t max_steps = 0;
-  for (std::size_t l = 0; l < nlanes; ++l) {
-    if (llrs[l].size() % 2 != 0) {
-      throw std::invalid_argument("viterbi: need an even number of LLRs");
-    }
-    const std::size_t s = llrs[l].size() / 2;
-    if (s == 0) {
-      out[l].clear();
-      continue;
-    }
-    if (s > kMaxFixedSteps) {
-      // Beyond the proven no-overflow bound (never hit by legal 802.11a
-      // frames): this lane decodes alone via the scalar entry point, which
-      // takes the exact double path, and is skipped by the batch.
-      ViterbiWorkspace scalar_ws;
-      decode_fixed(llrs[l], terminated, scalar_ws, out[l]);
-      continue;
-    }
-    steps[l] = s;
-    in_batch[l] = true;
-    max_steps = std::max(max_steps, s);
-  }
-  if (max_steps == 0) return;
-
-  // Lane-interleaved quantized LLR planes; lanes shorter than max_steps
-  // are zero past their own end, so their metrics only merge (max of two
-  // unchanged path sums) and never grow — the post-final steps cannot
-  // overflow or disturb the snapshot taken at the lane's own last step.
-  ws.qa.assign(max_steps * kBatchLanes, 0);
-  ws.qb.assign(max_steps * kBatchLanes, 0);
-  for (std::size_t l = 0; l < nlanes; ++l) {
-    if (!in_batch[l]) continue;
-    ws.quantized.resize(llrs[l].size());
-    quantize_llrs(llrs[l], ws.quantized);
-    for (std::size_t t = 0; t < steps[l]; ++t) {
-      ws.qa[t * kBatchLanes + l] = ws.quantized[2 * t];
-      ws.qb[t * kBatchLanes + l] = ws.quantized[2 * t + 1];
-    }
-  }
-  ws.survivors.resize(max_steps * static_cast<std::size_t>(kNumStates));
-  ws.final_metrics.resize(kBatchLanes * static_cast<std::size_t>(kNumStates));
-
-  alignas(32) std::int32_t buf_a[static_cast<std::size_t>(kNumStates) *
-                                 kBatchLanes];
-  alignas(32) std::int32_t buf_b[static_cast<std::size_t>(kNumStates) *
-                                 kBatchLanes];
-  std::int32_t* metric = buf_a;
-  std::int32_t* next_metric = buf_b;
-  std::fill(metric, metric + static_cast<std::size_t>(kNumStates) * kBatchLanes,
-            kIntFloor);
-  for (std::size_t l = 0; l < kBatchLanes; ++l) metric[l] = 0;  // state 0
-
-  static const BatchStepFn step_fn = select_batch_step();
-
-  alignas(32) std::int32_t combos[4][kBatchLanes];
-  for (std::size_t t = 0; t < max_steps; ++t) {
-    for (std::size_t l = 0; l < kBatchLanes; ++l) {
-      const std::int32_t la = ws.qa[t * kBatchLanes + l];
-      const std::int32_t lb = ws.qb[t * kBatchLanes + l];
-      combos[0][l] = la + lb;   // sign_a = +1, sign_b = +1
-      combos[1][l] = la - lb;   // sign_a = +1, sign_b = -1
-      combos[2][l] = lb - la;   // sign_a = -1, sign_b = +1
-      combos[3][l] = -la - lb;  // sign_a = -1, sign_b = -1
-    }
-    step_fn(metric, next_metric, combos, combo_idx_,
-            ws.survivors.data() + t * static_cast<std::size_t>(kNumStates));
-    std::swap(metric, next_metric);
-    for (std::size_t l = 0; l < nlanes; ++l) {
-      if (in_batch[l] && steps[l] == t + 1) {
-        std::int32_t* fm =
-            ws.final_metrics.data() + l * static_cast<std::size_t>(kNumStates);
-        for (int s = 0; s < kNumStates; ++s) {
-          fm[s] = metric[static_cast<std::size_t>(s) * kBatchLanes + l];
-        }
-      }
-    }
-  }
-
-  for (std::size_t l = 0; l < nlanes; ++l) {
-    if (!in_batch[l]) continue;
-    const std::int32_t* fm =
-        ws.final_metrics.data() + l * static_cast<std::size_t>(kNumStates);
-    int state = 0;
-    if (!terminated) {
-      std::int32_t best = fm[0];
-      for (int s = 1; s < kNumStates; ++s) {
-        if (fm[s] > best) {
-          best = fm[s];
-          state = s;
-        }
-      }
-    }
-    Bits& bits = out[l];
-    bits.resize(steps[l]);
-    const std::uint8_t* surv = ws.survivors.data();
-    for (std::size_t t = steps[l]; t-- > 0;) {
-      bits[t] = static_cast<std::uint8_t>(state >> 5);
-      state = ((state & 31) << 1) |
-              static_cast<int>(
-                  (surv[t * static_cast<std::size_t>(kNumStates) +
-                        static_cast<std::size_t>(state)] >>
-                   l) &
-                  1);
-    }
-  }
 }
 
 }  // namespace silence

@@ -46,24 +46,6 @@ struct ViterbiWorkspace {
   std::vector<std::int16_t> quantized;
 };
 
-// Scratch for the lane-batched fixed-point kernel (up to kBatchLanes
-// packets decoded per register sweep). Same reuse contract as
-// ViterbiWorkspace: buffers grow to the largest batch seen and stay.
-struct ViterbiBatchWorkspace {
-  // Per-lane quantized LLRs (scratch for quantize_llrs).
-  std::vector<std::int16_t> quantized;
-  // Lane-interleaved quantized pairs: qa[t * kBatchLanes + lane] is
-  // lane's first LLR of step t (zero beyond the lane's own length).
-  std::vector<std::int32_t> qa;
-  std::vector<std::int32_t> qb;
-  // Survivor bytes: survivors[t * 64 + state] holds one choice bit per
-  // lane (bit `lane` = predecessor parity of `state` at step t).
-  std::vector<std::uint8_t> survivors;
-  // Per-lane path metrics snapshotted at the lane's own final step
-  // (64 states per lane), for best-state traceback of shorter lanes.
-  std::vector<std::int32_t> final_metrics;
-};
-
 class ViterbiDecoder {
  public:
   // Quantization ceiling: block maximum |LLR| maps to +-kQuantMax.
@@ -100,36 +82,12 @@ class ViterbiDecoder {
   static void quantize_llrs(std::span<const double> llrs,
                             std::span<std::int16_t> out);
 
-  // Lanes processed per register sweep by decode_fixed_batch.
-  static constexpr std::size_t kBatchLanes = 8;
-
-  // Lane-batched fixed-point decode: up to kBatchLanes LLR streams run
-  // the trellis in lockstep, with the 32 butterflies vectorized across
-  // lanes instead of across states. Each lane's output is bit-identical
-  // to decode_fixed() on that stream alone:
-  //  - quantization is per lane (same block max, same rounding);
-  //  - every lane performs the same integer add/compare sequence, and
-  //    integer arithmetic is exact under any vector arrangement;
-  //  - lanes shorter than the longest one feed zero LLRs past their own
-  //    end (metrics only merge, never shift), and their final metrics
-  //    are snapshotted at their own last step for best-state traceback.
-  // `llrs.size()` must be in [1, kBatchLanes]; `out.size()` must match.
-  // Lanes longer than kMaxFixedSteps fall back to decode_fixed.
-  void decode_fixed_batch(std::span<const std::span<const double>> llrs,
-                          bool terminated, ViterbiBatchWorkspace& ws,
-                          std::span<Bits> out) const;
-
  private:
   void traceback(const ViterbiWorkspace& ws, std::size_t steps, int state,
                  Bits& out) const;
 
   // out_[state][input] = 2 coded bits (A in bit 0, B in bit 1).
   std::vector<std::uint8_t> output_table_;
-  // Butterfly j's branch metric as a selector into the four per-step
-  // combinations {la+lb, la-lb, -la+lb, -la-lb} (the batched kernel
-  // broadcasts those four values across lanes once per step); derived
-  // from viterbi_kernels::butterfly_signs().
-  std::uint8_t combo_idx_[32];
 };
 
 }  // namespace silence

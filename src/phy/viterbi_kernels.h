@@ -38,11 +38,6 @@ using AcsFn = void (*)(const std::int16_t* q, std::size_t steps,
 struct AcsKernel {
   const char* name;  // "avx2", "sse2" or "generic"
   AcsFn run;
-  // Whether one stream at a time through this kernel outruns
-  // decode_fixed_batch()'s lockstep lanes. True for AVX2, which keeps
-  // all 64 metrics in registers (Release perf_phy on a 4-core Xeon: 52-56
-  // against 34 M bits/s a lane).
-  bool outruns_lockstep;
 };
 
 // Every ACS kernel compiled into this build that this CPU can run,

@@ -14,6 +14,11 @@
 //    contents across calls.
 //  - A workspace is single-threaded state. Per-thread reuse without
 //    explicit plumbing goes through default_phy_workspace().
+//  - net::NetSim owns one workspace per run and hands it to every
+//    station's session instead of using the thread's default, so the
+//    buffers live and die with the run: a workspace that outlives runs
+//    made glibc trim and regrow the heap top on almost every packet
+//    (docs/ARCHITECTURE.md, "One PHY chain").
 #pragma once
 
 #include "common/bits.h"

@@ -81,10 +81,10 @@ PacketReport CosSession::send_packet(
       select_control_rate(report.measured_snr_db));
   rx_config.min_feedback_subcarriers = desired_control_subcarriers(
       silence_budget_for_packet(steady_rm, airtime), n_sym);
-  const bool batched = config_.phy_batch != nullptr && phy_batch_enabled();
-  report.rx = batched ? cos_receive(received, rx_config, std::nullopt,
-                                    *config_.phy_batch)
-                      : cos_receive(received, rx_config);
+  report.rx = cos_receive(received, rx_config, std::nullopt,
+                          config_.workspace != nullptr
+                              ? *config_.workspace
+                              : default_phy_workspace());
   report.data_ok = report.rx.data_ok;
 
   // Control accuracy: longest matching prefix of the sent control bits.

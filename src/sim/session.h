@@ -29,11 +29,10 @@ struct SessionConfig {
   // control subcarriers (the paper's design); when false the initial set
   // is kept forever (the "random placement" ablation uses this).
   bool use_selection_feedback = true;
-  // When set (and the process-wide switch is on), packets route through
-  // the batched PHY engine using this workspace — bit-identical
-  // results. Transient wiring, not a serialized setting; the owner must
-  // outlive the session.
-  PhyBatch* phy_batch = nullptr;
+  // PHY scratch for the receive chain; null means the thread's
+  // default_phy_workspace(). Results do not depend on it. Transient
+  // wiring, not a serialized setting; the owner must outlive the session.
+  PhyWorkspace* workspace = nullptr;
 };
 
 struct PacketReport {

@@ -3,8 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 
-#include "phy/batch.h"
+#include "phy/workspace.h"
 #include "runner/json.h"
 #include "runner/sweep.h"
 
@@ -85,16 +86,30 @@ TEST(RunScenario, OutcomeIsAPureFunctionOfScenarioAndSeed) {
   EXPECT_NE(first.to_json().dump_compact(), other.to_json().dump_compact());
 }
 
-TEST(RunScenario, BatchedEngineIsByteIdenticalToScalar) {
-  // run_scenario routes every session through the shared batched-PHY
-  // workspace by default; the scalar chain (the engine switch off) must
-  // produce the identical NetResult down to every serialized bit.
-  const Scenario sc = test_scenario(5);
-  const NetResult batched = run_scenario(sc, 99);
-  set_phy_batch_enabled(false);
-  const NetResult scalar = run_scenario(sc, 99);
-  set_phy_batch_enabled(true);
-  EXPECT_EQ(batched.to_json().dump_compact(), scalar.to_json().dump_compact());
+TEST(RunScenario, ReceivesThroughItsOwnWorkspace) {
+  // Every session receives through the one PhyWorkspace its NetSim owns,
+  // never the thread's default: a long-lived workspace below each
+  // exchange's per-packet buffers makes glibc trim and regrow the heap
+  // top on almost every packet (docs/ARCHITECTURE.md, "One PHY chain").
+  // A fresh thread starts with an empty default workspace; it must still
+  // be empty after a whole scenario has run on that thread.
+  std::size_t corrected = 0;
+  std::size_t llrs = 0;
+  std::size_t mother = 0;
+  std::size_t delivered = 0;
+  std::thread worker([&] {
+    const NetResult r = run_scenario(test_scenario(3), 5);
+    for (const StaStats& s : r.stations) delivered += s.mpdus_delivered;
+    const PhyWorkspace& ws = default_phy_workspace();
+    corrected = ws.corrected.capacity();
+    llrs = ws.llrs.capacity();
+    mother = ws.mother.capacity();
+  });
+  worker.join();
+  EXPECT_GT(delivered, 0u);
+  EXPECT_EQ(corrected, 0u);
+  EXPECT_EQ(llrs, 0u);
+  EXPECT_EQ(mother, 0u);
 }
 
 TEST(RunScenario, DeliversDataAndFreeControlBits) {

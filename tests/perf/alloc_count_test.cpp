@@ -23,7 +23,6 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "core/cos_link.h"
-#include "phy/batch.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
 #include "phy/receiver.h"
@@ -165,56 +164,6 @@ TEST(AllocCount, WarmViterbiFixedAllocatesNothing) {
     decoder.decode_fixed(llrs, true, ws, out);
   });
   EXPECT_EQ(n, 0u) << "warm fixed-point Viterbi must not allocate";
-}
-
-TEST(AllocCount, WarmViterbiBatchAllocatesNothing) {
-  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
-  Rng rng(11);
-  // Ragged lane lengths exercise the per-lane tail handling too.
-  std::array<std::vector<double>, ViterbiDecoder::kBatchLanes> llrs;
-  std::array<std::span<const double>, ViterbiDecoder::kBatchLanes> spans;
-  for (std::size_t lane = 0; lane < llrs.size(); ++lane) {
-    llrs[lane].resize(2 * (2048 + 256 * lane));
-    for (auto& v : llrs[lane]) v = rng.uniform() * 8.0 - 4.0;
-    spans[lane] = llrs[lane];
-  }
-  const ViterbiDecoder decoder;
-  ViterbiBatchWorkspace ws;
-  std::array<Bits, ViterbiDecoder::kBatchLanes> out;
-  decoder.decode_fixed_batch(spans, false, ws, out);  // sizes every buffer
-
-  const std::size_t n = allocations_during([&] {
-    decoder.decode_fixed_batch(spans, false, ws, out);
-    decoder.decode_fixed_batch(spans, true, ws, out);
-  });
-  EXPECT_EQ(n, 0u) << "warm lane-batched Viterbi must not allocate";
-}
-
-TEST(AllocCount, BatchReceiveAllocationsIndependentOfSymbolCount) {
-  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
-  const Mcs& mcs = mcs_for_rate(24);
-  const CxVec small = frame_to_samples(build_frame(test_psdu(5, 256), mcs));
-  const CxVec large = frame_to_samples(build_frame(test_psdu(6, 1500), mcs));
-  const std::vector<std::span<const Cx>> small_bursts(PhyBatch::kMaxLanes,
-                                                      std::span<const Cx>(small));
-  const std::vector<std::span<const Cx>> large_bursts(PhyBatch::kMaxLanes,
-                                                      std::span<const Cx>(large));
-
-  auto batch = std::make_unique<PhyBatch>();
-  std::vector<RxPacket> out(PhyBatch::kMaxLanes);
-  // Warm every lane's buffers (and the shared Viterbi scratch) with the
-  // *larger* frame so neither measured run grows anything.
-  receive_packet_batch(large_bursts, *batch, out);
-  receive_packet_batch(small_bursts, *batch, out);
-
-  const std::size_t n_small = allocations_during(
-      [&] { receive_packet_batch(small_bursts, *batch, out); });
-  const std::size_t n_large = allocations_during(
-      [&] { receive_packet_batch(large_bursts, *batch, out); });
-  // Steady state: lane workspaces, SoA tiles, result containers and the
-  // output packets all reuse their high-water capacity.
-  EXPECT_EQ(n_small, 0u) << "warm batched RX must not allocate";
-  EXPECT_EQ(n_large, 0u) << "warm batched RX must not allocate";
 }
 
 TEST(AllocCount, ReceiveAllocationsIndependentOfSymbolCount) {

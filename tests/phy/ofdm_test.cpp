@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "dsp/fft.h"
 #include "phy/modulation.h"
 #include "phy/pilots.h"
+#include "phy/preamble.h"
+#include "phy/transmitter.h"
 
 namespace silence {
 namespace {
@@ -97,6 +103,44 @@ TEST(Ofdm, SilencedSubcarrierHasZeroEnergyAfterFft) {
   // Neighbors are untouched (orthogonality).
   EXPECT_GT(std::abs(rx_bins[static_cast<std::size_t>(data_bins[19])]), 0.1);
   EXPECT_GT(std::abs(rx_bins[static_cast<std::size_t>(data_bins[21])]), 0.1);
+}
+
+// frame_to_samples() transforms each data symbol through the 64-point
+// kernel: every symbol, cyclic prefix included, must equal the portable
+// butterfly loop's IFFT of that symbol, byte for byte, from a few symbols
+// to a few hundred.
+TEST(Ofdm, FrameSymbolsMatchPortableInverseFft) {
+  const FftPlan& plan = fft_plan(kFftSize);
+  for (const std::size_t octets : {40u, 120u, 340u, 1024u}) {
+    Rng rng(octets);
+    Bytes psdu = rng.bytes(octets - 4);
+    append_fcs(psdu);
+    for (const int rate : {6, 24, 54}) {
+      const TxFrame frame = build_frame(psdu, mcs_for_rate(rate));
+      const CxVec samples = frame_to_samples(frame);
+      ASSERT_EQ(samples.size(),
+                static_cast<std::size_t>(kPreambleSamples + kSymbolSamples) +
+                    static_cast<std::size_t>(kSymbolSamples) *
+                        frame.data_grid.size());
+      CxVec body(kFftSize);
+      for (std::size_t s = 0; s < frame.data_grid.size(); ++s) {
+        assemble_frequency_bins_into(frame.data_grid[s],
+                                     static_cast<int>(s) + 1, body);
+        plan.run(body, /*inverse=*/true);
+        const std::size_t offset =
+            static_cast<std::size_t>(kPreambleSamples + kSymbolSamples) +
+            static_cast<std::size_t>(kSymbolSamples) * s;
+        for (std::size_t k = 0; k < static_cast<std::size_t>(kSymbolSamples);
+             ++k) {
+          const std::size_t from = (k + kFftSize - kCpLength) % kFftSize;
+          ASSERT_EQ(std::memcmp(&samples[offset + k], &body[from], sizeof(Cx)),
+                    0)
+              << "symbol " << s << " sample " << k << " rate " << rate
+              << " octets " << octets;
+        }
+      }
+    }
+  }
 }
 
 TEST(Ofdm, SizeValidation) {

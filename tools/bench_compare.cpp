@@ -44,7 +44,9 @@ int usage(const char* argv0, int code) {
                "  --gate-ratio NUM:DEN:MIN  require benchmark NUM's\n"
                "  items_per_second to be at least MIN x benchmark DEN's,\n"
                "  both read from the candidate file (a within-run speedup\n"
-               "  gate, e.g. batch vs scalar, immune to machine speed)\n",
+               "  gate immune to machine speed, e.g.\n"
+               "  BM_Fft64:BM_Fft64Oracle:3.0 for the FFT kernel over its\n"
+               "  oracle)\n",
                argv0);
   return code;
 }
