@@ -1,10 +1,12 @@
 // Shared helpers for the figure-reproduction benches: the legacy header
 // printer plus the common CLI (--threads/--trials/--json/--seed/--trace/
-// --flight-dir, and the sweep-fabric flags --fabric/--shard-spec) for
-// benches migrated onto the runner subsystem (src/runner/).
+// --flight-dir) for benches migrated onto the runner subsystem
+// (src/runner/).
 #pragma once
 
-#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -13,10 +15,8 @@
 #include <string>
 #include <vector>
 
-#include "fabric/fabric.h"
 #include "obs/flight/flight.h"
 #include "obs/obs.h"
-#include "runner/executor.h"
 
 namespace silence::bench {
 
@@ -36,22 +36,10 @@ struct BenchArgs {
   std::string trace_path;  // --trace FILE  (Chrome trace-event JSON)
   std::string flight_dir;  // --flight-dir DIR (anomaly dump directory)
   std::size_t flight_limit = 32;  // --flight-limit N (max dumps per run)
-  // Sweep fabric (src/fabric/): supervisor side.
-  int fabric_workers = 0;      // --fabric N        (>1 = worker processes)
-  int fabric_shards = 0;       // --fabric-shards M (0 = one per worker)
-  std::string fabric_spool;    // --fabric-spool DIR
-  double fabric_timeout = 0.0; // --fabric-timeout SEC (0 = none)
-  int fabric_retries = 2;      // --fabric-retries N (retries per shard)
-  // Worker side (the supervisor passes these when re-execing us).
-  std::string shard_spec;      // --shard-spec <sweep>:<i>/<n>:<b>-<e>
-  std::string shard_out;       // --shard-out FILE
-  std::string self;            // argv[0], the re-exec fallback
 };
 
 // A bench-specific flag rides along in parse_bench_args: `flag` takes
 // one value, `help` is a usage line, `parse` receives the value.
-// A bench that shards over the fabric must append its extra flags to
-// FabricConfig::passthrough_args itself so workers rebuild the same grid.
 struct ExtraFlag {
   const char* flag;
   const char* help;
@@ -67,8 +55,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     std::printf(
         "usage: %s [--threads N] [--trials N] [--seed S] [--json [PATH]]\n"
         "          [--trace FILE] [--flight-dir DIR] [--flight-limit N]\n"
-        "          [--fabric N] [--fabric-shards M] [--fabric-spool DIR]\n"
-        "          [--fabric-timeout SEC] [--fabric-retries N]\n"
         "  --threads N   worker threads (default: all hardware threads)\n"
         "  --trials N    Monte-Carlo trials per sweep point\n"
         "  --seed S      base seed for deterministic trial seeding\n"
@@ -80,71 +66,65 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
         "  --flight-dir DIR    arm the flight recorder: anomalous trials\n"
         "                (CRC fail, control miss, false alarm) dump replayable\n"
         "                artifacts into DIR (replay with tools/silence_diag)\n"
-        "  --flight-limit N    cap the dump count per run (default 32)\n"
-        "  --fabric N    shard the sweep over N worker processes; results\n"
-        "                are byte-identical to the single-process run\n"
-        "  --fabric-shards M   shards per sweep (default: one per worker)\n"
-        "  --fabric-spool DIR  shard artifact spool (default: a temp dir)\n"
-        "  --fabric-timeout SEC  kill + retry a worker after SEC seconds\n"
-        "  --fabric-retries N  retries per shard before giving up (default 2)\n"
-        "  --shard-spec/--shard-out    internal: run one shard (set by the\n"
-        "                supervisor when it re-execs this binary)\n",
+        "  --flight-limit N    cap the dump count per run (default 32)\n",
         argv[0], bench_name);
     for (const ExtraFlag& extra : extras) {
       std::printf("  %s  %s\n", extra.flag, extra.help);
     }
     std::exit(code);
   };
-  const auto numeric_value = [&](int& i) -> const char* {
+  const auto flag_value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
       std::fprintf(stderr, "%s: missing value for %s\n", argv[0], argv[i]);
       usage(2);
     }
     return argv[++i];
   };
+  // A count flag takes decimal digits only, at most `max`: an empty
+  // value, a sign, blanks or trailing junk exit 2 instead of reading as
+  // 0, as a prefix, or (strtoull's "-1") as 2^64-1.
+  const auto count_value = [&](int& i, std::uint64_t max) -> std::uint64_t {
+    const char* flag = argv[i];
+    const char* text = flag_value(i);
+    char* end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) || *end != '\0' ||
+        errno == ERANGE || v > max) {
+      std::fprintf(stderr, "%s: bad value '%s' for %s (want an integer in "
+                   "0..%llu)\n", argv[0], text, flag,
+                   static_cast<unsigned long long>(max));
+      usage(2);
+    }
+    return v;
+  };
 
   BenchArgs args;
-  args.self = argv[0];
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--help") || !std::strcmp(argv[i], "-h")) {
       usage(0);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      args.threads = std::atoi(numeric_value(i));
+      args.threads = static_cast<int>(count_value(i, INT_MAX));
     } else if (!std::strcmp(argv[i], "--trials")) {
-      args.trials = std::atoi(numeric_value(i));
+      args.trials = static_cast<int>(count_value(i, INT_MAX));
     } else if (!std::strcmp(argv[i], "--seed")) {
-      args.seed = std::strtoull(numeric_value(i), nullptr, 10);
+      args.seed = count_value(i, UINT64_MAX);
     } else if (!std::strcmp(argv[i], "--json")) {
       args.json = true;
       if (i + 1 < argc && argv[i + 1][0] != '-') {
         args.json_path = argv[++i];
       }
     } else if (!std::strcmp(argv[i], "--trace")) {
-      args.trace_path = numeric_value(i);
+      args.trace_path = flag_value(i);
     } else if (!std::strcmp(argv[i], "--flight-dir")) {
-      args.flight_dir = numeric_value(i);
+      args.flight_dir = flag_value(i);
     } else if (!std::strcmp(argv[i], "--flight-limit")) {
-      args.flight_limit =
-          static_cast<std::size_t>(std::strtoull(numeric_value(i), nullptr, 10));
-    } else if (!std::strcmp(argv[i], "--fabric")) {
-      args.fabric_workers = std::atoi(numeric_value(i));
-    } else if (!std::strcmp(argv[i], "--fabric-shards")) {
-      args.fabric_shards = std::atoi(numeric_value(i));
-    } else if (!std::strcmp(argv[i], "--fabric-spool")) {
-      args.fabric_spool = numeric_value(i);
-    } else if (!std::strcmp(argv[i], "--fabric-timeout")) {
-      args.fabric_timeout = std::strtod(numeric_value(i), nullptr);
-    } else if (!std::strcmp(argv[i], "--fabric-retries")) {
-      args.fabric_retries = std::atoi(numeric_value(i));
-    } else if (!std::strcmp(argv[i], "--shard-spec")) {
-      args.shard_spec = numeric_value(i);
-    } else if (!std::strcmp(argv[i], "--shard-out")) {
-      args.shard_out = numeric_value(i);
+      args.flight_limit = static_cast<std::size_t>(count_value(i, SIZE_MAX));
     } else {
       bool matched = false;
       for (const ExtraFlag& extra : extras) {
         if (!std::strcmp(argv[i], extra.flag)) {
-          extra.parse(numeric_value(i));
+          extra.parse(flag_value(i));
           matched = true;
           break;
         }
@@ -182,35 +162,6 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
 #endif
   }
   return args;
-}
-
-// Builds the FabricConfig for a bench from its parsed CLI flags. The
-// passthrough args make every worker rebuild the identical grid
-// (--seed/--trials) while splitting the requested thread budget evenly
-// across workers, so `--fabric N` uses roughly the same CPU as the
-// single-process run it must reproduce.
-inline silence::fabric::FabricConfig fabric_config(const BenchArgs& args) {
-  silence::fabric::FabricConfig config;
-  config.workers = args.fabric_workers;
-  config.shard_count = args.fabric_shards;
-  config.spool_dir = args.fabric_spool;
-  config.self = silence::fabric::self_executable_path(args.self);
-  config.supervisor.timeout_seconds = args.fabric_timeout;
-  config.supervisor.max_attempts = std::max(0, args.fabric_retries) + 1;
-  if (!args.shard_spec.empty()) {
-    config.shard = silence::fabric::ShardSpec::parse(args.shard_spec);
-  }
-  config.shard_out = args.shard_out;
-  const int threads = silence::runner::resolve_threads(args.threads);
-  const int per_worker =
-      std::max(1, threads / std::max(1, args.fabric_workers));
-  config.passthrough_args = {"--seed", std::to_string(args.seed),
-                             "--threads", std::to_string(per_worker)};
-  if (args.trials > 0) {
-    config.passthrough_args.push_back("--trials");
-    config.passthrough_args.push_back(std::to_string(args.trials));
-  }
-  return config;
 }
 
 // Call once after the sweep (before returning from main): writes the

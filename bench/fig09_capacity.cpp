@@ -160,22 +160,6 @@ PointResult run_point(const SweepPoint& point, std::uint64_t base_seed,
   return result;
 }
 
-// Shard-artifact codec (fabric/fabric.h): both fields are integers, so
-// the round trip is trivially exact.
-runner::Json point_to_json(const PointResult& r) {
-  runner::Json row = runner::Json::object();
-  row.set("feasible", r.feasible);
-  row.set("budget", r.budget);
-  return row;
-}
-
-PointResult point_from_json(const runner::Json& row) {
-  PointResult r;
-  r.feasible = row.find("feasible")->as_bool();
-  r.budget = static_cast<int>(row.find("budget")->as_int());
-  return r;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -198,15 +182,13 @@ int main(int argc, char** argv) {
     ++snr_index;
   }
 
-  fabric::Fabric fab(bench::fabric_config(args));
-  const auto outcome = fab.run(
-      "fig09_capacity", grid, {.threads = args.threads, .chunk = 1},
+  const auto outcome = runner::run_sweep(
+      grid, {.threads = args.threads, .chunk = 1},
       [&](const SweepPoint& point, const runner::TrialContext& ctx) {
         return run_point(point, grid.base_seed, ctx.seed, packets,
                          max_failures);
       },
-      point_to_json, point_from_json, [](PointResult&, PointResult&&) {});
-  if (fab.worker_mode()) return fab.finish_worker();
+      [](PointResult&, PointResult&&) {});
 
   runner::SweepReport report;
   report.bench = "fig09_capacity";
@@ -261,10 +243,7 @@ int main(int argc, char** argv) {
 
   runner::TableSink table;
   table.write(report);
-  if (args.json) {
-    runner::JsonSink(args.json_path).write(report);
-    if (fab.fabric_mode()) fab.write_sidecars(args.json_path);
-  }
+  if (args.json) runner::JsonSink(args.json_path).write(report);
   bench::finish_observability(args);
   return 0;
 }

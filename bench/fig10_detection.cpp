@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <stdexcept>
 #include <vector>
 
 #include "bench_util.h"
@@ -94,8 +93,8 @@ void part_a() {
   }
 }
 
-// Shard-artifact codecs (fabric/fabric.h): detector counts are plain
-// unsigned tallies, shipped as compact 4-int arrays — exact round trip.
+// Detector counts as a compact [active, silent, false_pos, false_neg]
+// array: the layout of each part's `confusion_totals` grid entry.
 runner::Json detection_to_json(const DetectionCounts& c) {
   runner::Json row = runner::Json::array();
   row.push_back(static_cast<std::int64_t>(c.active));
@@ -105,21 +104,7 @@ runner::Json detection_to_json(const DetectionCounts& c) {
   return row;
 }
 
-DetectionCounts detection_from_json(const runner::Json& row) {
-  const runner::Json::Array& a = row.as_array();
-  if (a.size() != 4) {
-    throw std::runtime_error("DetectionCounts: expected 4 fields");
-  }
-  DetectionCounts c;
-  c.active = static_cast<std::size_t>(a[0].as_int());
-  c.silent = static_cast<std::size_t>(a[1].as_int());
-  c.false_pos = static_cast<std::size_t>(a[2].as_int());
-  c.false_neg = static_cast<std::size_t>(a[3].as_int());
-  return c;
-}
-
-runner::SweepReport part_b(const bench::BenchArgs& args,
-                           fabric::Fabric& fab) {
+runner::SweepReport part_b(const bench::BenchArgs& args) {
   const int packets = args.trials > 0 ? args.trials : 150;
   runner::SweepGrid<double> grid;  // points: threshold in dB
   grid.base_seed = runner::substream_seed(args.seed, 0xb);
@@ -128,8 +113,8 @@ runner::SweepReport part_b(const bench::BenchArgs& args,
     grid.points.push_back(thr_db);
   }
 
-  const auto outcome = fab.run(
-      "fig10_detection.b", grid, {.threads = args.threads, .chunk = 8},
+  const auto outcome = runner::run_sweep(
+      grid, {.threads = args.threads, .chunk = 8},
       [&](const double& thr_db, const runner::TrialContext& ctx) {
         CosTrialSpec spec = base_spec(9.2);
         spec.cos.detector.fixed_threshold = std::pow(10.0, thr_db / 10.0);
@@ -143,8 +128,7 @@ runner::SweepReport part_b(const bench::BenchArgs& args,
                               .trial_index = ctx.trial_index},
                              ctx.seed)
             .detection;
-      },
-      detection_to_json, detection_from_json);
+      });
 
   runner::SweepReport report;
   report.bench = "fig10_detection.b";
@@ -185,34 +169,15 @@ struct AdaptiveCounts {
   }
 };
 
-runner::Json adaptive_to_json(const AdaptiveCounts& c) {
-  runner::Json row = runner::Json::array();
-  row.push_back(detection_to_json(c.noise_margin));
-  row.push_back(detection_to_json(c.midpoint));
-  return row;
-}
-
-AdaptiveCounts adaptive_from_json(const runner::Json& row) {
-  const runner::Json::Array& a = row.as_array();
-  if (a.size() != 2) {
-    throw std::runtime_error("AdaptiveCounts: expected 2 fields");
-  }
-  AdaptiveCounts c;
-  c.noise_margin = detection_from_json(a[0]);
-  c.midpoint = detection_from_json(a[1]);
-  return c;
-}
-
-runner::SweepReport part_c(const bench::BenchArgs& args,
-                           fabric::Fabric& fab) {
+runner::SweepReport part_c(const bench::BenchArgs& args) {
   const int packets = args.trials > 0 ? args.trials : 1000;
   runner::SweepGrid<double> grid;  // points: measured SNR in dB
   grid.base_seed = runner::substream_seed(args.seed, 0xc);
   grid.trials = static_cast<std::size_t>(packets);
   grid.points = {3.2, 4.0, 6.0, 8.0, 10.0, 12.0, 14.0, 16.0, 18.0, 20.0};
 
-  const auto outcome = fab.run(
-      "fig10_detection.c", grid, {.threads = args.threads, .chunk = 16},
+  const auto outcome = runner::run_sweep(
+      grid, {.threads = args.threads, .chunk = 16},
       [&](const double& snr, const runner::TrialContext& ctx) {
         const CosPacket packet =
             simulate_cos_packet(base_spec(snr), ctx.seed);
@@ -227,8 +192,7 @@ runner::SweepReport part_c(const bench::BenchArgs& args,
         counts.midpoint =
             count_detection(packet, kControl, midpoint_config);
         return counts;
-      },
-      adaptive_to_json, adaptive_from_json);
+      });
 
   runner::SweepReport report;
   report.bench = "fig10_detection.c";
@@ -274,26 +238,7 @@ struct InterferenceCounts {
   }
 };
 
-runner::Json interference_to_json(const InterferenceCounts& c) {
-  runner::Json row = runner::Json::array();
-  row.push_back(detection_to_json(c.interfered));
-  row.push_back(detection_to_json(c.clean));
-  return row;
-}
-
-InterferenceCounts interference_from_json(const runner::Json& row) {
-  const runner::Json::Array& a = row.as_array();
-  if (a.size() != 2) {
-    throw std::runtime_error("InterferenceCounts: expected 2 fields");
-  }
-  InterferenceCounts c;
-  c.interfered = detection_from_json(a[0]);
-  c.clean = detection_from_json(a[1]);
-  return c;
-}
-
-runner::SweepReport part_d(const bench::BenchArgs& args,
-                           fabric::Fabric& fab) {
+runner::SweepReport part_d(const bench::BenchArgs& args) {
   const int packets = args.trials > 0 ? args.trials : 200;
   runner::SweepGrid<double> grid;  // points: measured SNR in dB
   grid.base_seed = runner::substream_seed(args.seed, 0xd);
@@ -302,8 +247,8 @@ runner::SweepReport part_d(const bench::BenchArgs& args,
   const PulseInterferer strong{.symbol_hit_probability = 0.6,
                                .pulse_power = 1.0};
 
-  const auto outcome = fab.run(
-      "fig10_detection.d", grid, {.threads = args.threads, .chunk = 8},
+  const auto outcome = runner::run_sweep(
+      grid, {.threads = args.threads, .chunk = 8},
       [&](const double& snr, const runner::TrialContext& ctx) {
         CosTrialSpec interfered = base_spec(snr);
         interfered.ground_truth_framing = true;
@@ -323,8 +268,7 @@ runner::SweepReport part_d(const bench::BenchArgs& args,
         counts.clean = count_detection(simulate_cos_packet(clean, ctx.seed),
                                        kControl, DetectorConfig{});
         return counts;
-      },
-      interference_to_json, interference_from_json);
+      });
 
   runner::SweepReport report;
   report.bench = "fig10_detection.d";
@@ -357,18 +301,12 @@ runner::SweepReport part_d(const bench::BenchArgs& args,
 int main(int argc, char** argv) {
   const bench::BenchArgs args =
       bench::parse_bench_args(argc, argv, "fig10_detection");
-  fabric::Fabric fab(bench::fabric_config(args));
-  if (!fab.worker_mode()) {
-    bench::print_header("Fig. 10", "silence-symbol detection accuracy");
-    part_a();
-  }
+  bench::print_header("Fig. 10", "silence-symbol detection accuracy");
+  part_a();
 
-  // In worker mode only the sweep named by the shard spec runs; the
-  // other two parts return immediately with empty results.
-  const runner::SweepReport b = part_b(args, fab);
-  const runner::SweepReport c = part_c(args, fab);
-  const runner::SweepReport d = part_d(args, fab);
-  if (fab.worker_mode()) return fab.finish_worker();
+  const runner::SweepReport b = part_b(args);
+  const runner::SweepReport c = part_c(args);
+  const runner::SweepReport d = part_d(args);
   runner::TableSink table;
   table.write(b);
   table.write(c);
@@ -393,21 +331,9 @@ int main(int argc, char** argv) {
     parts.push_back(runner::JsonSink::payload(d));
     root.set("parts", std::move(parts));
     runner::write_json_file(args.json_path, root);
-
-    runner::Json timing = runner::Json::object();
-    timing.set("bench", "fig10_detection");
-    timing.set("threads", runner::resolve_threads(args.threads));
-    timing.set("wall_seconds",
-               b.wall_seconds + c.wall_seconds + d.wall_seconds);
-    timing.set("trials_run", static_cast<std::int64_t>(
-                                 b.trials_run + c.trials_run + d.trials_run));
-    runner::write_json_file(runner::timing_sidecar_path(args.json_path),
-                            timing);
-
-    // In fabric mode this merges every worker's shard metrics with the
-    // supervisor's own snapshot; otherwise it reduces to the plain
-    // single-snapshot sidecar.
-    fab.write_sidecars(args.json_path);
+    runner::write_sidecars(args.json_path, "fig10_detection", b.threads,
+                           b.trials_run + c.trials_run + d.trials_run,
+                           b.wall_seconds + c.wall_seconds + d.wall_seconds);
   }
   bench::finish_observability(args);
   return 0;

@@ -8,10 +8,7 @@
 //
 // Runner-based: each Monte-Carlo trial runs one full scenario seed, and
 // trials fan out across the thread pool with (base_seed, point, trial)
-// derived seeds — results are bit-identical at any --threads value, and
-// `--fabric N` shards the same sweep over N worker processes with
-// byte-identical output (NetResult's JSON codec round-trips every trial
-// bit-exactly through the shard artifacts).
+// derived seeds — results are bit-identical at any --threads value.
 //
 // `--topology FILE` swaps the single-AP axis for one multi-BSS topology
 // read from a net::Topology JSON document (hidden terminals, OBSS
@@ -146,7 +143,7 @@ net::Scenario scenario_for(int num_stations) {
 
 // Engine event throughput per simulated second: a pure function of
 // (scenario, seed), so it lands in BENCH_net.json and must survive the
-// CI byte-identity comparisons across thread and fabric counts.
+// CI byte-identity comparisons across thread counts.
 // (Wall-clock events/sec is printed to the console only.)
 double events_per_sim_second(const net::NetResult& r) {
   return r.elapsed_us > 0.0
@@ -241,33 +238,13 @@ int main(int argc, char** argv) {
           ? std::vector<int>{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
           : parse_stas(stas_csv);
 
-  fabric::FabricConfig fab_config = bench::fabric_config(args);
-  if (!stas_csv.empty()) {
-    // Workers must rebuild the identical grid.
-    fab_config.passthrough_args.push_back("--stas");
-    fab_config.passthrough_args.push_back(stas_csv);
-  }
-  if (!topology_path.empty()) {
-    fab_config.passthrough_args.push_back("--topology");
-    fab_config.passthrough_args.push_back(topology_path);
-  }
-  if (traffic_spec != "saturated") {
-    fab_config.passthrough_args.push_back("--traffic");
-    fab_config.passthrough_args.push_back(traffic_spec);
-  }
-  fabric::Fabric fab(std::move(fab_config));
-  if (!fab.worker_mode()) {
-    bench::print_header("Network", "multi-STA CoS scenarios (src/net/)");
-  }
+  bench::print_header("Network", "multi-STA CoS scenarios (src/net/)");
 
-  const auto outcome = fab.run(
-      "net_scenarios", grid, {.threads = args.threads, .chunk = 1},
+  const auto outcome = runner::run_sweep(
+      grid, {.threads = args.threads, .chunk = 1},
       [](const int& stas, const runner::TrialContext& ctx) {
         return net::run_scenario(scenario_for(stas), ctx.seed);
-      },
-      [](const net::NetResult& r) { return r.to_json(); },
-      [](const runner::Json& j) { return net::NetResult::from_json(j); });
-  if (fab.worker_mode()) return fab.finish_worker();
+      });
 
   runner::SweepReport report;
   report.bench = "net_scenarios";
@@ -321,7 +298,7 @@ int main(int argc, char** argv) {
   table.write(report);
   // Wall-clock engine throughput over the whole sweep (every trial of
   // every point, on all threads): console-only (never in JSON, which the
-  // CI byte-compares across thread and fabric counts).
+  // CI byte-compares across thread counts).
   if (outcome.wall_seconds > 0.0) {
     std::printf(
         "  engine: %llu calendar events in %.2f s wall: %.0f events/s, "
@@ -330,15 +307,7 @@ int main(int argc, char** argv) {
         static_cast<double>(total_events) / outcome.wall_seconds,
         1e-6 * total_sim_us / outcome.wall_seconds);
   }
-  if (args.json) {
-    runner::JsonSink(args.json_path).write(report);
-    if (fab.fabric_mode()) {
-      // Replace the supervisor-only sidecar JsonSink just wrote with the
-      // merge of every worker's shard metrics plus our own snapshot, and
-      // drop the supervisor's shard-lifecycle telemetry alongside.
-      fab.write_sidecars(args.json_path);
-    }
-  }
+  if (args.json) runner::JsonSink(args.json_path).write(report);
 
   // Machine-readable perf/behavior baseline for tools/bench_compare.
   // Only seed-deterministic quantities (no wall-clock), so the CI gate
@@ -359,9 +328,8 @@ int main(int argc, char** argv) {
 
   // The standing OBSS reference point: two co-channel 8-station cells
   // whose PPDUs overlap in time, exercising the engine's cross-BSS
-  // interference path. Run supervisor-side (it is one small point) so
-  // single-process and --fabric runs of this bench emit byte-identical
-  // JSON. Skipped in topology mode: the file IS the topology under test.
+  // interference path. Skipped in topology mode: the file IS the
+  // topology under test.
   if (!g_topology_mode) {
     net::Scenario obss = base_scenario(traffic);
     obss.topology.bss.clear();

@@ -56,7 +56,7 @@
 //
 // Determinism: the calendar queue pops in (timestamp, kind, bss, sta,
 // FIFO) order and every handler is sequential, so the whole simulation
-// is a pure function of (scenario, seed) at any thread or fabric count.
+// is a pure function of (scenario, seed) at any sweep thread count.
 #pragma once
 
 #include <cstdint>

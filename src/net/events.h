@@ -3,9 +3,9 @@
 // contract is the backbone of the engine's purity in (scenario, seed):
 // events pop in (timestamp, tie-break key, FIFO) order — the key is
 // (kind, bss, station), fixed at schedule time — so two runs of the same
-// scenario pop the identical event sequence, and runner- or fabric-
-// parallel sweeps (which never share an engine) stay byte-identical at
-// any thread or shard count.
+// scenario pop the identical event sequence, and runner-parallel sweeps
+// (which never share an engine) stay byte-identical at any thread
+// count.
 //
 // The structure is a static calendar: buckets of width `width_us` over
 // [0, horizon), each kept sorted, plus one overflow bucket for events

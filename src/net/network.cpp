@@ -1,6 +1,6 @@
 // run_scenario as a thin wrapper over the event-driven net::NetSim
 // (net/engine.h): construct, run to completion, return the finalized
-// result. Kept as the one-shot entry point for benches and the fabric;
+// result. Kept as the one-shot entry point for benches and sweeps;
 // callers that need mid-run state (step_until + per-station accessors)
 // use NetSim directly.
 #include "net/engine.h"

@@ -159,29 +159,6 @@ runner::Json SlotHist::to_json() const {
   return root;
 }
 
-SlotHist SlotHist::from_json(const runner::Json& json) {
-  SlotHist h;
-  h.count = static_cast<std::uint64_t>(require(json, "count").as_int());
-  h.sum = static_cast<std::uint64_t>(require(json, "sum").as_int());
-  h.min = static_cast<std::uint64_t>(require(json, "min").as_int());
-  h.max = static_cast<std::uint64_t>(require(json, "max").as_int());
-  const runner::Json& tallies = require(json, "buckets");
-  if (!tallies.is_array()) {
-    throw std::runtime_error("SlotHist::from_json: buckets is not an array");
-  }
-  if (tallies.size() > obs::kHistogramBuckets) {
-    throw std::runtime_error("SlotHist::from_json: too many buckets");
-  }
-  if (h.count > 0) {
-    h.buckets.assign(obs::kHistogramBuckets, 0);
-    for (std::size_t b = 0; b < tallies.size(); ++b) {
-      h.buckets[b] =
-          static_cast<std::uint64_t>(tallies.as_array()[b].as_int());
-    }
-  }
-  return h;
-}
-
 StaStats& StaStats::operator+=(const StaStats& o) {
   tx_rounds += o.tx_rounds;
   collisions += o.collisions;
@@ -300,52 +277,6 @@ runner::Json NetResult::to_json() const {
   }
   root.set("stations", std::move(stas));
   return root;
-}
-
-NetResult NetResult::from_json(const runner::Json& json) {
-  NetResult r;
-  r.elapsed_us = require(json, "elapsed_us").as_double();
-  r.contention_rounds =
-      static_cast<std::size_t>(require(json, "contention_rounds").as_int());
-  r.tx_rounds = static_cast<std::size_t>(require(json, "tx_rounds").as_int());
-  r.collision_rounds =
-      static_cast<std::size_t>(require(json, "collision_rounds").as_int());
-  r.events = static_cast<std::uint64_t>(require(json, "events").as_int());
-  r.obss_overlap_us = require(json, "obss_overlap_us").as_double();
-  const runner::Json& air = require(json, "airtime");
-  r.airtime.data_us = require(air, "data_us").as_double();
-  r.airtime.ack_us = require(air, "ack_us").as_double();
-  r.airtime.control_us = require(air, "control_us").as_double();
-  r.airtime.idle_us = require(air, "idle_us").as_double();
-  r.airtime.collision_us = require(air, "collision_us").as_double();
-  const runner::Json& stas = require(json, "stations");
-  if (!stas.is_array()) {
-    throw std::runtime_error("NetResult::from_json: stations is not an array");
-  }
-  r.stations.reserve(stas.size());
-  for (const runner::Json& row : stas.as_array()) {
-    StaStats s;
-    s.tx_rounds = static_cast<std::size_t>(require(row, "tx_rounds").as_int());
-    s.collisions =
-        static_cast<std::size_t>(require(row, "collisions").as_int());
-    s.frames_delivered =
-        static_cast<std::size_t>(require(row, "frames_delivered").as_int());
-    s.frames_lost =
-        static_cast<std::size_t>(require(row, "frames_lost").as_int());
-    s.mpdus_delivered =
-        static_cast<std::size_t>(require(row, "mpdus_delivered").as_int());
-    s.data_bits = static_cast<std::size_t>(require(row, "data_bits").as_int());
-    s.control_bits_sent =
-        static_cast<std::size_t>(require(row, "control_bits_sent").as_int());
-    s.control_bits_correct = static_cast<std::size_t>(
-        require(row, "control_bits_correct").as_int());
-    s.data_airtime_us = require(row, "data_airtime_us").as_double();
-    s.hol_wait_slots = SlotHist::from_json(require(row, "hol_wait_slots"));
-    s.inter_tx_gap_slots =
-        SlotHist::from_json(require(row, "inter_tx_gap_slots"));
-    r.stations.push_back(s);
-  }
-  return r;
 }
 
 }  // namespace silence::net

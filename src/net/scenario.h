@@ -15,7 +15,7 @@
 // event-driven engine (net/engine.h) pops its calendar queue in a strict
 // (timestamp, tie-break key, FIFO) total order. Sweeps parallelize
 // across trials (bench/net_scenarios.cpp), never inside one scenario, so
-// results are bit-identical at any runner thread or fabric shard count.
+// results are bit-identical at any runner thread count.
 #pragma once
 
 #include <cstdint>
@@ -100,9 +100,8 @@ struct SlotHist {
 
   SlotHist& operator+=(const SlotHist& o);
 
-  // Integers only (buckets trailing-zero trimmed): exact round trip.
+  // Integers only, buckets trailing-zero trimmed.
   runner::Json to_json() const;
-  static SlotHist from_json(const runner::Json& json);
 
   friend bool operator==(const SlotHist&, const SlotHist&) = default;
 };
@@ -168,12 +167,6 @@ struct NetResult {
   // Deterministic digest of the run (used by the determinism tests and
   // the bench's JSON rows).
   runner::Json to_json() const;
-  // Bit-exact inverse of to_json() — integers are exact and doubles are
-  // written in shortest-round-trip form, so from_json(to_json(r))
-  // reproduces every field bit-for-bit. This is what lets the sweep
-  // fabric ship per-trial NetResults through shard artifacts without
-  // perturbing the merged output.
-  static NetResult from_json(const runner::Json& json);
 };
 
 // Runs the event-driven DCF + CoS scenario for `scenario.duration_us` of

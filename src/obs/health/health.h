@@ -10,9 +10,9 @@
 // audit counters. Hot paths record through the HEALTH_* macros below;
 // writes land in pooled per-thread blocks of relaxed atomics exactly like
 // the metrics registry (single writer per block), and every accumulated
-// quantity is an unsigned integer, so merging blocks — or fabric shards —
-// by summation is order-independent and a snapshot of the same recorded
-// values is byte-identical at any thread or worker count.
+// quantity is an unsigned integer, so merging blocks — or the sidecars of
+// a campaign's sweeps — by summation is order-independent and a snapshot
+// of the same recorded values is byte-identical at any thread count.
 //
 // All recorded values are fixed-point quantizations (scales below); the
 // detector score additionally carries its decision in the quantization:
@@ -25,7 +25,7 @@
 // count_confusion()'s miss/false-alarm tallies bit-for-bit at score 256.
 //
 // Building with SILENCE_OBS=OFF compiles every HEALTH_* macro to nothing;
-// the registry class itself still exists (so the runner/fabric sidecar
+// the registry class itself still exists (so the runner's sidecar
 // plumbing links in both modes) but stays empty, and no .health.json is
 // written.
 #pragma once
@@ -119,7 +119,7 @@ struct HealthHist {
 };
 
 // Deterministic merged view of every thread block. Integer-only, so
-// operator+= (used for the fabric shard merge) is exact and
+// operator+= (used by merge_health_json) is exact and
 // order-independent.
 struct HealthSnapshot {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)>
@@ -217,9 +217,8 @@ runner::Json health_json(const HealthSnapshot& snapshot);
 // Throws std::runtime_error on a malformed document.
 HealthSnapshot health_from_json(const runner::Json& doc);
 
-// Deterministic merge of several health_json() documents (one per fabric
-// worker plus the supervisor's own snapshot): every quantity is an
-// integer sum (min/max combine as min/max), so the merged document is
+// Deterministic merge of several health_json() documents (one per sweep
+// of a silence_campaign run): every quantity is an integer sum (min/max combine as min/max), so the merged document is
 // byte-identical to the one a single process recording the same values
 // would have written.
 runner::Json merge_health_json(const std::vector<runner::Json>& docs);

@@ -103,14 +103,6 @@ std::string metrics_sidecar_path(const std::string& json_path) {
   return path + ".metrics.json";
 }
 
-std::string telemetry_sidecar_path(const std::string& json_path) {
-  std::string path = json_path;
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    path.resize(path.size() - 5);
-  }
-  return path + ".telemetry.json";
-}
-
 std::string health_sidecar_path(const std::string& json_path) {
   std::string path = json_path;
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
@@ -231,21 +223,25 @@ Json merge_metrics_json(const std::vector<Json>& docs) {
 
 void JsonSink::write(const SweepReport& report) {
   write_json_file(path_, payload(report));
+  write_sidecars(path_, report.bench, report.threads, report.trials_run,
+                 report.wall_seconds);
+}
 
-  const std::string timing_path = timing_sidecar_path(path_);
+void write_sidecars(const std::string& json_path, const std::string& bench,
+                    int threads, std::size_t trials_run, double wall_seconds) {
   Json timing = Json::object();
-  timing.set("bench", report.bench);
-  timing.set("threads", report.threads);
-  timing.set("trials_run", static_cast<std::int64_t>(report.trials_run));
-  timing.set("wall_seconds", report.wall_seconds);
-  write_json_file(timing_path, timing);
+  timing.set("bench", bench);
+  timing.set("threads", threads);
+  timing.set("trials_run", static_cast<std::int64_t>(trials_run));
+  timing.set("wall_seconds", wall_seconds);
+  write_json_file(timing_sidecar_path(json_path), timing);
 
   // Metrics sidecar: the pipeline-wide obs snapshot for this run. Like
   // timing it never touches the main file — counter values are seed-
   // deterministic, but the .ns histograms are wall-clock.
   const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
   if (!snapshot.empty()) {
-    write_json_file(metrics_sidecar_path(path_), metrics_json(snapshot));
+    write_json_file(metrics_sidecar_path(json_path), metrics_json(snapshot));
   }
 
   // Health sidecar: every quantity seed-deterministic, so the file is
@@ -254,7 +250,8 @@ void JsonSink::write(const SweepReport& report) {
   const obs::health::HealthSnapshot health =
       obs::health::Registry::global().snapshot();
   if (!health.empty()) {
-    write_json_file(health_sidecar_path(path_), obs::health::health_json(health));
+    write_json_file(health_sidecar_path(json_path),
+                    obs::health::health_json(health));
   }
 }
 

@@ -55,7 +55,7 @@ class TableSink : public ResultSink {
   void write(const SweepReport& report) override;
 };
 
-// Structured results at `path` plus timing at `<path minus .json>.timing.json`.
+// Structured results at `path` plus the run's sidecars (write_sidecars).
 class JsonSink : public ResultSink {
  public:
   explicit JsonSink(std::string path) : path_(std::move(path)) {}
@@ -82,22 +82,27 @@ std::string timing_sidecar_path(const std::string& json_path);
 // `results/foo.json` -> `results/foo.metrics.json`.
 std::string metrics_sidecar_path(const std::string& json_path);
 
-// `results/foo.json` -> `results/foo.telemetry.json` (fabric supervisor
-// shard-lifecycle telemetry; see fabric/telemetry.h).
-std::string telemetry_sidecar_path(const std::string& json_path);
-
 // `results/foo.json` -> `results/foo.health.json` (PHY signal-health
 // snapshot; see obs/health/health.h). Written only when the health
 // registry recorded anything, i.e. never under SILENCE_OBS=OFF.
 std::string health_sidecar_path(const std::string& json_path);
+
+// Writes the sidecars of a run whose results live at `json_path`: the
+// `.timing.json` record (bench, threads, trials_run, wall_seconds), then
+// this process's metrics and health snapshots as `.metrics.json` and
+// `.health.json`, each only when its registry recorded anything. Timing
+// and the `*.ns` histograms are wall-clock; every other sidecar byte is
+// seed-deterministic and identical at any thread count.
+void write_sidecars(const std::string& json_path, const std::string& bench,
+                    int threads, std::size_t trials_run, double wall_seconds);
 
 // The obs snapshot rendered as a runner::Json object (counters, gauges,
 // histograms keyed by metric name). Used for the metrics sidecar and by
 // perf_phy's stage-throughput record.
 Json metrics_json(const obs::MetricsSnapshot& snapshot);
 
-// Deterministic merge of several metrics_json() documents (e.g. one per
-// fabric worker plus the supervisor's own snapshot): counters are summed,
+// Deterministic merge of several metrics_json() documents (e.g. the
+// sidecars of every sweep in a campaign): counters are summed,
 // gauges take the maximum, histograms are merged bucket-wise with mean /
 // p50 / p95 / p99 recomputed from the combined buckets. Output follows
 // the metrics_json() schema with every section sorted by name. Throws

@@ -454,7 +454,7 @@ TEST(NetEngine, OnOffTrafficRunsAndHoldsInvariants) {
   EXPECT_GT(r.events, 0u);
 }
 
-TEST(NetEngine, EventAndObssTalliesMergeAndRoundTrip) {
+TEST(NetEngine, EventAndObssTalliesMerge) {
   const Scenario sc = two_ap_scenario(36, 36);
   const NetResult a = run_scenario(sc, 3);
   const NetResult b = run_scenario(sc, 4);
@@ -464,15 +464,10 @@ TEST(NetEngine, EventAndObssTalliesMergeAndRoundTrip) {
   EXPECT_EQ(merged.events, a.events + b.events);
   EXPECT_DOUBLE_EQ(merged.obss_overlap_us,
                    a.obss_overlap_us + b.obss_overlap_us);
-  const NetResult back = NetResult::from_json(a.to_json());
-  EXPECT_EQ(back.to_json().dump_compact(), a.to_json().dump_compact());
-  EXPECT_EQ(back.events, a.events);
 }
 
 // The headline determinism acceptance: a 64-station / 2-AP co-channel
-// scenario swept at 1, 2 and 8 threads reduces byte-identically (the
-// fabric cross-check lives in CI, which compares a single-process run
-// against --fabric 4 of the bench binary).
+// scenario swept at 1, 2 and 8 threads reduces byte-identically.
 TEST(NetEngine, TwoApSixtyFourStationSweepIsBitIdenticalAcrossThreads) {
   Scenario sc = two_ap_scenario(36, 36, 32);
   sc.duration_us = 2e3;

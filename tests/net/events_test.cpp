@@ -1,7 +1,7 @@
 // The calendar queue's ordering contract (net/events.h): events pop in
 // (timestamp, kind, bss, sta, FIFO) order regardless of push order or
-// bucket placement. The engine's determinism at any thread or fabric
-// count reduces to exactly this total order, so it gets its own tests.
+// bucket placement. The engine's determinism at any sweep thread count
+// reduces to exactly this total order, so it gets its own tests.
 #include "net/events.h"
 
 #include <gtest/gtest.h>

@@ -203,17 +203,6 @@ TEST(SlotHist, RecordTracksCountSumMinMax) {
   EXPECT_NEAR(h.mean(), 106.0 / 3.0, 1e-12);
 }
 
-TEST(SlotHist, JsonRoundTripsExactly) {
-  SlotHist h;
-  for (std::uint64_t v : {0ull, 1ull, 7ull, 63ull, 4096ull}) h.record(v);
-  const SlotHist back = SlotHist::from_json(h.to_json());
-  EXPECT_EQ(back, h);
-  EXPECT_EQ(back.to_json().dump_compact(), h.to_json().dump_compact());
-  // Empty histograms round-trip too (no buckets array content).
-  const SlotHist empty;
-  EXPECT_EQ(SlotHist::from_json(empty.to_json()), empty);
-}
-
 TEST(SlotHist, MergeMatchesRecordingEverythingIntoOne) {
   SlotHist a, b, all;
   for (std::uint64_t v : {3ull, 17ull, 200ull}) {
@@ -245,29 +234,6 @@ TEST(SlotHist, QuantilesAreOrderedAndBracketed) {
   EXPECT_LE(p95, p99);
   EXPECT_GE(p50, static_cast<double>(h.min));
   EXPECT_LE(p99, static_cast<double>(h.max));
-}
-
-TEST(SlotHist, FromJsonRejectsMalformedDocs) {
-  SlotHist h;
-  h.record(9);
-  const runner::Json full = h.to_json();
-  for (const auto& [key, value] : full.as_object()) {
-    runner::Json pruned = runner::Json::object();
-    for (const auto& [k, v] : full.as_object()) {
-      if (k != key) pruned.set(k, v);
-    }
-    EXPECT_THROW(SlotHist::from_json(pruned), std::runtime_error)
-        << "missing '" << key << "' was accepted";
-  }
-  // More buckets than the fixed layout holds.
-  runner::Json too_many = runner::Json::object();
-  for (const auto& [k, v] : full.as_object()) {
-    if (k != "buckets") too_many.set(k, v);
-  }
-  runner::Json buckets = runner::Json::array();
-  for (int i = 0; i < 64; ++i) buckets.push_back(1);
-  too_many.set("buckets", std::move(buckets));
-  EXPECT_THROW(SlotHist::from_json(too_many), std::runtime_error);
 }
 
 // The queueing view must be consistent with the scheduler tallies:

@@ -112,7 +112,7 @@ TEST(HealthJson, RoundTripIsExact) {
 TEST(HealthJson, MergeEqualsSingleRecording) {
   // Two "shards" recording disjoint halves, merged as JSON documents,
   // must be byte-identical to one process recording the whole workload —
-  // the fabric byte-identity contract in miniature.
+  // the campaign's cross-sweep health merge in miniature.
   auto& reg = Registry::global();
   reg.reset();
   record_workload(0, 1500);

@@ -162,8 +162,8 @@ TEST(JsonParse, RejectsDuplicateObjectKeys) {
 }
 
 TEST(JsonParse, LargeSeedsRoundTripAsInt64BitPattern) {
-  // The fabric ships u64 base seeds as their int64 bit-cast; the round
-  // trip must reproduce every bit, including seeds above 2^63.
+  // Sweep grids record u64 base seeds as their int64 bit-cast; the
+  // round trip must reproduce every bit, including seeds above 2^63.
   for (const std::uint64_t seed :
        {std::uint64_t{0}, std::uint64_t{1} << 53, ~std::uint64_t{0},
         std::uint64_t{0x9e3779b97f4a7c15ull}}) {

@@ -1,7 +1,6 @@
-// merge_metrics_json: the reduction that folds per-shard / per-sweep
-// .metrics.json sidecars into one document (fabric supervisor merges its
-// workers' sidecars; silence_campaign merges across sweeps). Counters
-// sum, gauges take the max, histograms merge bucket-wise with
+// merge_metrics_json: the reduction that folds per-sweep .metrics.json
+// sidecars into one document (silence_campaign merges across sweeps).
+// Counters sum, gauges take the max, histograms merge bucket-wise with
 // mean/p50/p95/p99 recomputed from the combined buckets.
 #include "runner/sinks.h"
 
@@ -125,10 +124,8 @@ TEST(MetricsMerge, EmptyHistogramEntriesAreSkipped) {
 }
 
 TEST(MetricsMerge, EmptySidecarMergeIsIdentity) {
-  // Merging a real sidecar with a fully empty document (an OFF-build
-  // worker that recorded nothing at all) must reproduce the real one
-  // byte-for-byte — the fabric pads its merge list with the
-  // supervisor's own (possibly empty) snapshot.
+  // Merging a real sidecar with a fully empty document (a sweep that
+  // recorded nothing at all) must reproduce the real one byte-for-byte.
   obs::MetricsSnapshot a;
   a.counters.push_back({"runner.trials", 12});
   a.gauges.push_back({"runner.threads", 4});

@@ -2,14 +2,12 @@
 // + machine readable report.
 //
 //   silence_report <result.json> [--trace FILE] [--timing FILE]
-//                  [--metrics FILE] [--telemetry FILE] [--health FILE]
-//                  [--out BASE]
+//                  [--metrics FILE] [--health FILE] [--out BASE]
 //
 // Inputs:
 //   <result.json>            the deterministic sweep result (JsonSink)
 //   <stem>.timing.json       wall-clock / thread-count sidecar
 //   <stem>.metrics.json      obs counters + latency histograms
-//   <stem>.telemetry.json    fabric supervisor shard-lifecycle telemetry
 //   <stem>.health.json       PHY signal-health sidecar (obs/health)
 //   --trace FILE             Chrome/Perfetto trace (wall spans under
 //                            pid 1, per-station MAC timelines under
@@ -17,15 +15,15 @@
 //
 // Sidecars are auto-discovered next to the result file; an absent
 // auto-discovered sidecar degrades to a note in the report. Naming an
-// input explicitly on the CLI (--trace/--timing/--metrics/--telemetry/
-// --health) makes it REQUIRED: if it is missing or unparseable the tool
-// prints what went wrong and exits nonzero instead of silently omitting
-// the section.
+// input explicitly on the CLI (--trace/--timing/--metrics/--health)
+// makes it REQUIRED: if it is missing or unparseable the tool prints
+// what went wrong and exits nonzero instead of silently omitting the
+// section.
 //
 // Output: BASE.md (markdown digest: results table, latency percentiles,
-// per-station MAC table, PHY health, trace track inventory, fleet
-// telemetry) and BASE.json (the same data structured). BASE defaults to
-// the result stem + ".report", i.e. results/net_scenarios.json ->
+// per-station MAC table, PHY health, trace track inventory) and
+// BASE.json (the same data structured). BASE defaults to the result
+// stem + ".report", i.e. results/net_scenarios.json ->
 // results/net_scenarios.report.{md,json}.
 //
 // Exit status: 0 = report written, 2 = usage error, unreadable result,
@@ -53,10 +51,9 @@ namespace health = silence::obs::health;
 int usage(const char* argv0, int code) {
   std::fprintf(stderr,
                "usage: %s <result.json> [--trace FILE] [--timing FILE]\n"
-               "       [--metrics FILE] [--telemetry FILE] [--health FILE]\n"
-               "       [--out BASE]\n"
-               "  fuses the result file, its .timing/.metrics/.telemetry/\n"
-               "  .health sidecars and (optionally) a Chrome trace into\n"
+               "       [--metrics FILE] [--health FILE] [--out BASE]\n"
+               "  fuses the result file, its .timing/.metrics/.health\n"
+               "  sidecars and (optionally) a Chrome trace into\n"
                "  BASE.md + BASE.json (default BASE: result stem +\n"
                "  '.report'). Sidecars are auto-discovered next to the\n"
                "  result; naming one explicitly makes it required\n"
@@ -456,7 +453,7 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string out_base;
   // Explicitly named sidecar paths (empty = auto-discover, tolerant).
-  std::string timing_path, metrics_path, telemetry_path, health_path;
+  std::string timing_path, metrics_path, health_path;
   const auto take_value = [&](int& i, std::string& into) {
     if (i + 1 >= argc) return false;
     into = argv[++i];
@@ -471,8 +468,6 @@ int main(int argc, char** argv) {
       if (!take_value(i, timing_path)) return usage(argv[0], 2);
     } else if (!std::strcmp(argv[i], "--metrics")) {
       if (!take_value(i, metrics_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--telemetry")) {
-      if (!take_value(i, telemetry_path)) return usage(argv[0], 2);
     } else if (!std::strcmp(argv[i], "--health")) {
       if (!take_value(i, health_path)) return usage(argv[0], 2);
     } else if (!std::strcmp(argv[i], "--out")) {
@@ -523,16 +518,13 @@ int main(int argc, char** argv) {
     }
     return true;
   };
-  Json timing, metrics, telemetry, health_doc;
+  Json timing, metrics, health_doc;
   const bool have_timing = load_sidecar(
       timing_path, silence::runner::timing_sidecar_path(result_path),
       "timing", timing);
   const bool have_metrics = load_sidecar(
       metrics_path, silence::runner::metrics_sidecar_path(result_path),
       "metrics", metrics);
-  const bool have_telemetry = load_sidecar(
-      telemetry_path, silence::runner::telemetry_sidecar_path(result_path),
-      "telemetry", telemetry);
   const bool have_health = load_sidecar(
       health_path, silence::runner::health_sidecar_path(result_path),
       "health", health_doc);
@@ -654,52 +646,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  md += "\n## Fabric telemetry\n\n";
-  if (!have_telemetry) {
-    md += "_no .telemetry.json sidecar (single-process run, or the fabric "
-          "recorded no events)_\n";
-  } else {
-    const Json* summary = field(telemetry, "summary");
-    char line[360];
-    std::snprintf(
-        line, sizeof(line),
-        "%d worker(s), %lld shard(s), %.2f s wall — %lld dispatch(es), "
-        "%lld complete(s), %lld retry(ies), %lld straggler kill(s), "
-        "%lld worker failure(s), %lld artifact reject(s); utilization "
-        "%.0f%%\n",
-        static_cast<int>(number_field(telemetry, "workers", 0.0)),
-        static_cast<long long>(number_field(telemetry, "shards", 0.0)),
-        number_field(telemetry, "wall_seconds", 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "dispatches", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "completes", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "retries", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "straggler_kills", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "worker_failures", 0.0) : 0.0),
-        static_cast<long long>(
-            summary ? number_field(*summary, "artifact_rejects", 0.0) : 0.0),
-        100.0 *
-            (summary ? number_field(*summary, "worker_utilization", 0.0)
-                     : 0.0));
-    md += line;
-    if (summary != nullptr) {
-      if (const Json* attempts = field(*summary, "attempt_seconds")) {
-        std::snprintf(line, sizeof(line),
-                      "\nattempt duration: %s/%s/%s s (p50/p95/p99) over "
-                      "%lld attempt(s)\n",
-                      fmt(number_field(*attempts, "p50", 0.0)).c_str(),
-                      fmt(number_field(*attempts, "p95", 0.0)).c_str(),
-                      fmt(number_field(*attempts, "p99", 0.0)).c_str(),
-                      static_cast<long long>(
-                          number_field(*attempts, "count", 0.0)));
-        md += line;
-      }
-    }
-  }
   md += "\n";
 
   // ----- structured JSON -----
@@ -725,7 +671,6 @@ int main(int argc, char** argv) {
     }
     report.set("stations", std::move(sta_rows));
   }
-  if (have_telemetry) report.set("fabric_telemetry", telemetry);
   if (have_health) {
     report.set("health", health_doc);
     const OperatingPoint op = operating_point(health_snapshot);
