@@ -307,7 +307,13 @@ int main(int argc, char** argv) {
         static_cast<double>(total_events) / outcome.wall_seconds,
         1e-6 * total_sim_us / outcome.wall_seconds);
   }
-  if (args.json) runner::JsonSink(args.json_path).write(report);
+  // The main file now; its sidecars once the OBSS reference point below
+  // has run too, so they cover every trial of the run.
+  if (args.json) {
+    runner::write_json_file(args.json_path, runner::JsonSink::payload(report));
+  }
+  std::size_t trials_run = outcome.trials_run;
+  double wall_seconds = outcome.wall_seconds;
 
   // Machine-readable perf/behavior baseline for tools/bench_compare.
   // Only seed-deterministic quantities (no wall-clock), so the CI gate
@@ -344,6 +350,8 @@ int main(int argc, char** argv) {
         [&obss](const int&, const runner::TrialContext& ctx) {
           return net::run_scenario(obss, ctx.seed);
         });
+    trials_run += obss_outcome.trials_run;
+    wall_seconds += obss_outcome.wall_seconds;
     const net::NetResult& r = obss_outcome.point_results[0];
     add_stage_rows(stages, "/obss=2ap_cochannel", r);
     runner::Json row = net_point_row(
@@ -358,6 +366,10 @@ int main(int argc, char** argv) {
   bench_json.set("stages", std::move(stages));
   bench_json.set("net_points", std::move(net_points));
   runner::write_json_file("results/BENCH_net.json", bench_json);
+  if (args.json) {
+    runner::write_sidecars(args.json_path, report.bench, report.threads,
+                           trials_run, wall_seconds);
+  }
 
   bench::finish_observability(args);
   return 0;

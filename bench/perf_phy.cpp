@@ -11,9 +11,9 @@
 // whichever the stage's `<stage>.items` counter tracks) straight from the
 // obs metrics registry. `--trace FILE` dumps a Chrome trace of the run.
 // A trailing `context` object records the machine and build that produced
-// the numbers: CPU model, hardware threads, build type, SILENCE_OBS,
-// SILENCE_NATIVE, and which Viterbi add-compare-select and 64-point FFT
-// kernels ran.
+// the numbers: the git commit, CPU model, hardware threads, build type,
+// SILENCE_OBS, SILENCE_NATIVE, and which Viterbi add-compare-select,
+// 64-point FFT, multipath FIR and AWGN fill kernels ran.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -28,8 +28,10 @@
 #endif
 
 #include "channel/fading.h"
+#include "channel/fading_kernels.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/rng_kernels.h"
 #include "core/cos_link.h"
 #include "dsp/fft_kernels.h"
 #include "obs/obs.h"
@@ -38,6 +40,7 @@
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
 #include "phy/viterbi_kernels.h"
+#include "perf_phy_git_sha.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -198,6 +201,40 @@ void BM_FadingChannelTransmit(benchmark::State& state) {
 }
 BENCHMARK(BM_FadingChannelTransmit);
 
+// The multipath FIR over one 1500-octet 24 Mb/s burst (11,440 samples,
+// the default 8 taps) into a preallocated buffer, through the kernel
+// apply_multipath runs (AVX2 on x86), or through the tap-outer loop it
+// replays bit for bit. CI gates their ratio.
+void fading_multipath_bench(benchmark::State& state, bool oracle) {
+  constexpr std::size_t kSamples = 11440;
+  const FadingChannel channel(MultipathProfile{}, 6);
+  Rng rng(8);
+  CxVec in(kSamples);
+  for (Cx& x : in) x = rng.complex_gaussian(1.0);
+  CxVec out(kSamples);
+  const fading_kernels::FirFn kernel = fading_kernels::fir_kernel();
+  const fading_kernels::FirFn fir = oracle || kernel == nullptr
+                                        ? fading_kernels::fir_tap_outer
+                                        : kernel;
+  const std::span<const Cx> taps = channel.taps();
+  for (auto _ : state) {
+    fir(taps.data(), taps.size(), in.data(), in.size(), out.data());
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<long>(kSamples));
+}
+
+void BM_FadingMultipath(benchmark::State& state) {
+  fading_multipath_bench(state, false);
+}
+BENCHMARK(BM_FadingMultipath);
+
+void BM_FadingMultipathOracle(benchmark::State& state) {
+  fading_multipath_bench(state, true);
+}
+BENCHMARK(BM_FadingMultipathOracle);
+
 // The AWGN sampler against the libstdc++ stack whose stream it
 // reproduces bit for bit. The reference loop exists only as the
 // denominator of CI's same-run ratio gate; nothing in the simulator draws
@@ -259,6 +296,7 @@ std::string cpu_model() {
 
 runner::Json build_context() {
   runner::Json c = runner::Json::object();
+  c.set("git_sha", PERF_PHY_GIT_SHA);
   c.set("cpu", cpu_model());
   c.set("nproc", static_cast<int>(std::thread::hardware_concurrency()));
   c.set("build_type", PERF_PHY_BUILD_TYPE);
@@ -267,6 +305,10 @@ runner::Json build_context() {
   c.set("acs_kernel", viterbi_kernels::acs_kernel().name);
   c.set("fft_kernel",
         fft_kernels::fft64_kernel() != nullptr ? "avx2" : "portable");
+  c.set("fir_kernel",
+        fading_kernels::fir_kernel() != nullptr ? "avx2" : "tap-outer");
+  c.set("awgn_fill",
+        rng_kernels::staged_fill() != nullptr ? "staged-avx2" : "per-sample");
   return c;
 }
 

@@ -6,9 +6,14 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "channel/fading_kernels.h"
 #include "common/db.h"
 #include "obs/flight/flight.h"
 #include "obs/obs.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
 
 namespace silence {
 
@@ -194,22 +199,95 @@ void FadingChannel::advance(const FadingStep& step) {
   rebuild_taps();
 }
 
-CxVec FadingChannel::apply_multipath(std::span<const Cx> samples) const {
-  // Tap-outer form of the FIR convolution. Every out[n] still sums
-  // taps_[l] * samples[n - l] in ascending-l order — the same additions
-  // in the same order as the sample-outer loop, so the result is
-  // bit-identical — but the inner loop now walks the sample dimension
-  // contiguously with a loop-invariant tap, which vectorizes instead of
-  // serializing on a per-sample accumulator. Split-double pointers keep
-  // the complex multiply in the (ac - bd, ad + bc) form libstdc++
-  // inlines for finite values.
-  CxVec out(samples.size(), Cx{0.0, 0.0});
-  const std::size_t count = samples.size();
-  const auto* __restrict s = reinterpret_cast<const double*>(samples.data());
-  auto* __restrict o = reinterpret_cast<double*>(out.data());
-  for (std::size_t l = 0; l < taps_.size() && l < count; ++l) {
-    const double tr = taps_[l].real();
-    const double ti = taps_[l].imag();
+namespace fading_kernels {
+namespace {
+
+#if defined(__x86_64__) || defined(__i386__)
+// One output in scalar code: +0.0 plus the products of the taps that
+// reach in[0] or stop at the last tap, in ascending order.
+Cx fir_sample(const double* t, std::size_t num_taps, const double* s,
+              std::size_t n) {
+  double re = 0.0;
+  double im = 0.0;
+  for (std::size_t l = 0; l < num_taps && l <= n; ++l) {
+    const double tr = t[2 * l];
+    const double ti = t[2 * l + 1];
+    const double sr = s[2 * (n - l)];
+    const double si = s[2 * (n - l) + 1];
+    re += tr * sr - ti * si;
+    im += tr * si + ti * sr;
+  }
+  return {re, im};
+}
+
+// acc + addsub(tr*x, ti*swap(x)): the products of one tap with two
+// samples, (tr*sr - ti*si, tr*si + ti*sr) each, added to their sums.
+__attribute__((target("avx2"), always_inline)) inline __m256d fir_step(
+    __m256d acc, __m256d tr, __m256d ti, __m256d x) {
+  return _mm256_add_pd(
+      acc, _mm256_addsub_pd(_mm256_mul_pd(tr, x),
+                            _mm256_mul_pd(ti, _mm256_permute_pd(x, 0x5))));
+}
+
+// Sample-outer: outputs n and n + 1 share a register, summed over every
+// tap, once n has all num_taps of them. One iteration sums two such
+// pairs, which share each tap's broadcasts.
+__attribute__((target("avx2"))) void fir_avx2(const Cx* taps,
+                                              std::size_t num_taps,
+                                              const Cx* in, std::size_t count,
+                                              Cx* out) {
+  const auto* t = reinterpret_cast<const double*>(taps);
+  const auto* s = reinterpret_cast<const double*>(in);
+  const std::size_t head = std::min(count, num_taps - 1);
+  std::size_t n = 0;
+  for (; n < head; ++n) out[n] = fir_sample(t, num_taps, s, n);
+  for (; n + 4 <= count; n += 4) {
+    const double* sn = s + 2 * n;
+    __m256d acc0 = _mm256_setzero_pd();
+    __m256d acc1 = _mm256_setzero_pd();
+    for (std::size_t l = 0; l < num_taps; ++l) {
+      const __m256d tr = _mm256_broadcast_sd(t + 2 * l);
+      const __m256d ti = _mm256_broadcast_sd(t + 2 * l + 1);
+      const __m256d x0 = _mm256_loadu_pd(sn - 2 * l);
+      const __m256d x1 = _mm256_loadu_pd(sn - 2 * l + 4);
+      acc0 = fir_step(acc0, tr, ti, x0);
+      acc1 = fir_step(acc1, tr, ti, x1);
+    }
+    _mm256_storeu_pd(reinterpret_cast<double*>(out + n), acc0);
+    _mm256_storeu_pd(reinterpret_cast<double*>(out + n + 2), acc1);
+  }
+  for (; n < count; ++n) out[n] = fir_sample(t, num_taps, s, n);
+  _mm256_zeroupper();
+}
+#endif
+
+}  // namespace
+
+FirFn fir_kernel() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const FirFn kernel = [] {
+    // Idempotent; makes the check safe even from a static initializer.
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") ? fir_avx2 : nullptr;
+  }();
+  return kernel;
+#else
+  return nullptr;
+#endif
+}
+
+void fir_tap_outer(const Cx* taps, std::size_t num_taps, const Cx* in,
+                   std::size_t count, Cx* out) {
+  // The inner loop walks the samples contiguously with a loop-invariant
+  // tap, which the compiler vectorizes. Split-double pointers keep the
+  // complex multiply in the (ac - bd, ad + bc) form libstdc++ inlines for
+  // finite values.
+  std::fill_n(out, count, Cx{0.0, 0.0});
+  const auto* __restrict s = reinterpret_cast<const double*>(in);
+  auto* __restrict o = reinterpret_cast<double*>(out);
+  for (std::size_t l = 0; l < num_taps && l < count; ++l) {
+    const double tr = taps[l].real();
+    const double ti = taps[l].imag();
     double* __restrict ol = o + 2 * l;
     for (std::size_t n = 0; n < count - l; ++n) {
       const double sr = s[2 * n];
@@ -218,6 +296,15 @@ CxVec FadingChannel::apply_multipath(std::span<const Cx> samples) const {
       ol[2 * n + 1] += tr * si + ti * sr;
     }
   }
+}
+
+}  // namespace fading_kernels
+
+CxVec FadingChannel::apply_multipath(std::span<const Cx> samples) const {
+  CxVec out(samples.size());
+  const fading_kernels::FirFn kernel = fading_kernels::fir_kernel();
+  (kernel != nullptr ? kernel : fading_kernels::fir_tap_outer)(
+      taps_.data(), taps_.size(), samples.data(), samples.size(), out.data());
   return out;
 }
 

@@ -10,10 +10,11 @@
 // saved), and uniform_int() runs std::uniform_int_distribution over the
 // engine. The implementation is in-tree only for speed and memory: a
 // branch-free twist and uint64 -> double conversion, the polar method
-// inlined, and a 2.5 KB engine state that a stream builds only once it
-// has drawn half a block (156 words). Until then an Rng is a few words,
-// so the many streams that draw little (a station's backoff, a channel
-// that is never advanced) never allocate.
+// inlined, a staged SIMD AWGN fill on AVX2 CPUs (common/rng_kernels.h),
+// and a 2.5 KB engine state that a stream builds only once it has drawn
+// half a block (156 words). Until then an Rng is a few words, so the many
+// streams that draw little (a station's backoff, a channel that is never
+// advanced) never allocate.
 #pragma once
 
 #include <algorithm>
@@ -28,6 +29,10 @@
 #include <vector>
 
 namespace silence {
+
+namespace rng_kernels {
+struct Access;  // common/rng_kernels.h
+}
 
 // MT19937-64 (Matsumoto & Nishimura), word for word std::mt19937_64: the
 // same seeding, twist and tempering, and the same min/max/result_type, so
@@ -55,17 +60,22 @@ class Mt19937_64 {
     return temper((*state_)[pos_++]);
   }
 
- private:
-  static constexpr std::size_t kStateWords = 312;
-  static constexpr std::size_t kShift = 156;
-  using State = std::array<result_type, kStateWords>;
-
+  // The output transform of one state word.
   static result_type temper(result_type z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;
     z ^= (z << 37) & 0xfff7eee000000000ULL;
     return z ^ (z >> 43);
   }
+
+ private:
+  // Rng's staged AWGN fill reads the untempered block in place and
+  // advances pos_ past the words it used.
+  friend class Rng;
+
+  static constexpr std::size_t kStateWords = 312;
+  static constexpr std::size_t kShift = 156;
+  using State = std::array<result_type, kStateWords>;
 
   result_type stateless_word();
   void twist();
@@ -99,7 +109,9 @@ class Rng {
   }
 
   // Adds complex_gaussian(variance) to every sample, in order: the same
-  // draws and sums as the per-sample loop, with sigma computed once.
+  // draws, sums and engine words as the per-sample loop, with sigma
+  // computed once. On AVX2 CPUs a staged fill does the work
+  // (common/rng_kernels.h).
   void add_complex_gaussian(std::span<std::complex<double>> samples,
                             double variance);
 
@@ -123,6 +135,12 @@ class Rng {
   }
 
  private:
+  friend struct rng_kernels::Access;
+
+  // The staged fill: defined on x86 only, run only on AVX2 CPUs.
+  void add_complex_gaussian_staged(std::span<std::complex<double>> samples,
+                                   double variance);
+
   // normal_distribution<double>'s polar method, including its saved
   // second value and the trailing `* stddev + mean` that maps -0.0 to
   // +0.0.

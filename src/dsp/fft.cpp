@@ -123,7 +123,10 @@ __attribute__((target("avx2"))) bool fft64_avx2(Cx* data, const double* w_re,
                                           _mm256_load_pd(im + k),
                                           _CMP_UNORD_Q));
   }
-  if (_mm256_movemask_pd(nan) != 0) return false;
+  if (_mm256_movemask_pd(nan) != 0) {
+    _mm256_zeroupper();
+    return false;
+  }
 
   double* out = reinterpret_cast<double*>(data);
   const __m256d scale = _mm256_set1_pd(1.0 / static_cast<double>(kN));
@@ -139,6 +142,7 @@ __attribute__((target("avx2"))) bool fft64_avx2(Cx* data, const double* w_re,
     _mm256_storeu_pd(out + 2 * k, _mm256_permute2f128_pd(lo, hi, 0x20));
     _mm256_storeu_pd(out + 2 * k + 4, _mm256_permute2f128_pd(lo, hi, 0x31));
   }
+  _mm256_zeroupper();
   return true;
 }
 #endif

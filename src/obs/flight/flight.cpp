@@ -186,6 +186,7 @@ void DumpRouter::configure(std::string dir, std::size_t limit) {
   std::lock_guard lock(mutex_);
   dir_ = std::move(dir);
   limit_ = limit;
+  kept_.clear();
   dumped_.store(0, std::memory_order_relaxed);
   suppressed_.store(0, std::memory_order_relaxed);
   enabled_.store(!dir_.empty() && limit_ > 0, std::memory_order_release);
@@ -212,28 +213,48 @@ std::string DumpRouter::dump_name(const TrialLabel& label,
          seed_to_string(seed).substr(2) + ".flight.json";
 }
 
+bool DumpRouter::keeps(const Key& key) const {
+  return kept_.size() < limit_ ||
+         (!kept_.empty() && key < kept_.rbegin()->first);
+}
+
 std::string DumpRouter::route(const TrialRecording& rec) {
   if (!rec.triggered() || !enabled()) return "";
-  std::string dir;
+  // The budget bounds artifact volume when a sweep point is pathological
+  // (every trial anomalous); a key that cannot be kept skips the render.
+  const TrialLabel& label = rec.label();
+  Key key{label.sweep, label.point_index, label.trial_index, rec.seed()};
+  const auto skip = [this] {
+    suppressed_.fetch_add(1, std::memory_order_relaxed);
+    return std::string();
+  };
   {
     std::lock_guard lock(mutex_);
-    // Claim a dump slot; the budget bounds artifact volume when a sweep
-    // point is pathological (every trial anomalous).
-    if (dumped_.load(std::memory_order_relaxed) >= limit_) {
-      suppressed_.fetch_add(1, std::memory_order_relaxed);
-      return "";
-    }
-    dumped_.fetch_add(1, std::memory_order_relaxed);
-    dir = dir_;
+    if (!keeps(key)) return skip();
+  }
+  const std::string text = rec.artifact().dump();
+  // The decision and the file operations happen under one lock, so a
+  // dump and its removal can never interleave.
+  std::lock_guard lock(mutex_);
+  if (!keeps(key)) return skip();
+  if (kept_.size() >= limit_) {
+    const auto highest = std::prev(kept_.end());
+    std::filesystem::remove(highest->second);
+    kept_.erase(highest);
+    suppressed_.fetch_add(1, std::memory_order_relaxed);
   }
   const std::filesystem::path path =
-      std::filesystem::path(dir) / dump_name(rec.label(), rec.seed());
+      std::filesystem::path(dir_) / dump_name(label, rec.seed());
   std::filesystem::create_directories(path.parent_path());
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    throw std::runtime_error("flight: cannot open " + path.string());
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    if (!out) {
+      throw std::runtime_error("flight: cannot open " + path.string());
+    }
+    out << text;
   }
-  out << rec.artifact().dump();
+  kept_.emplace(std::move(key), path.string());
+  dumped_.store(kept_.size(), std::memory_order_relaxed);
   return path.string();
 }
 

@@ -22,9 +22,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "obs/obs.h"  // defines SILENCE_OBS_ON
@@ -134,13 +136,15 @@ bool compare_artifacts(const runner::Json& expected,
 
 // Routes triggered recordings to disk. Configured once per process (from
 // --flight-dir/--flight-limit); route() is safe to call from worker
-// threads — the dump budget is claimed with one atomic increment and
-// filenames are unique by construction:
+// threads, and filenames are unique by construction:
 //
 //   <dir>/<sweep>__p<point>__t<trial>__s<seed-hex16>.flight.json
 //
 // (sweep sanitized to [A-Za-z0-9._-]), so concurrent sweeps and trials
-// can never collide.
+// can never collide. The budget keeps the `limit` lowest (sweep, point,
+// trial, seed) keys, whatever order trials finish in: when a lower key
+// arrives at a full budget, the highest kept dump's file is removed. So
+// the set of files, like their bytes, does not depend on thread timing.
 class DumpRouter {
  public:
   static DumpRouter& global();
@@ -151,14 +155,17 @@ class DumpRouter {
   std::string dir() const;
 
   // Writes `rec.artifact()` if the recording is triggered, routing is
-  // enabled and the dump budget is not exhausted. Returns the path
-  // written, or "" when skipped.
+  // enabled and its key is among the `limit` lowest routed so far.
+  // Returns the path written (which a lower key routed later may
+  // remove), or "" when skipped.
   std::string route(const TrialRecording& rec);
 
   // Dump filename (not the full path) for a label + seed; exposed so
   // tests can pin the naming scheme.
   static std::string dump_name(const TrialLabel& label, std::uint64_t seed);
 
+  // Dumps on disk, and triggered recordings routed but not kept (skipped
+  // or removed), since configure().
   std::size_t dumped() const { return dumped_.load(std::memory_order_relaxed); }
   std::size_t suppressed() const {
     return suppressed_.load(std::memory_order_relaxed);
@@ -167,9 +174,13 @@ class DumpRouter {
  private:
   DumpRouter() = default;
 
-  mutable std::mutex mutex_;  // guards dir_/limit_ (configure vs route)
+  using Key = std::tuple<std::string, std::size_t, std::size_t, std::uint64_t>;
+  bool keeps(const Key& key) const;  // with mutex_ held
+
+  mutable std::mutex mutex_;  // guards dir_, limit_, kept_ and the files
   std::string dir_;
   std::size_t limit_ = 0;
+  std::map<Key, std::string> kept_;  // key -> path of its dump
   std::atomic<bool> enabled_{false};
   std::atomic<std::size_t> dumped_{0};
   std::atomic<std::size_t> suppressed_{0};

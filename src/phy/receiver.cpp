@@ -151,17 +151,45 @@ FrontEndResult receiver_front_end(std::span<const Cx> raw_samples,
 
   // Carrier synchronization: coarse CFO from the STF periodicity, then a
   // fine pass on the (coarse-corrected) LTF. On an offset-free input the
-  // estimates are noise-level and the correction is a no-op.
-  ws.corrected.assign(raw_samples.begin(), raw_samples.end());
+  // estimates are noise-level and the correction is a no-op. Both
+  // corrections are those of correct_cfo() over the whole burst, but only
+  // the samples later stages read are rotated and written: the LTF after
+  // its guard and the FFT body of every whole symbol (SIGNAL, data and
+  // trailer). Both phase recurrences still step through every sample.
   CxVec& corrected = ws.corrected;
+  corrected.resize(raw_samples.size());
   {
     OBS_SPAN("phy.rx.sync");
+    constexpr std::size_t kLtfBody = kStfSamples + 32;  // after the guard
+    constexpr auto kPreamble = static_cast<std::size_t>(kPreambleSamples);
     const double coarse =
-        estimate_cfo_coarse(std::span(corrected).first(kStfSamples));
-    correct_cfo(corrected, coarse);
+        estimate_cfo_coarse(raw_samples.first(kStfSamples));
+    CfoRotator coarse_rotation(coarse);
+    coarse_rotation.skip(kLtfBody);
+    for (std::size_t n = kLtfBody; n < kPreamble; ++n) {
+      corrected[n] = raw_samples[n] * coarse_rotation.next();
+    }
+    // Reads the LTF after its guard only.
     const double fine = estimate_cfo_fine(
         std::span(corrected).subspan(kStfSamples, kLtfSamples));
-    correct_cfo(corrected, fine);
+    CfoRotator fine_rotation(fine);
+    fine_rotation.skip(kLtfBody);
+    for (std::size_t n = kLtfBody; n < kPreamble; ++n) {
+      corrected[n] *= fine_rotation.next();
+    }
+    const std::size_t symbols =
+        (raw_samples.size() - kPreamble) / kSymbolSamples;
+    for (std::size_t s = 0; s < symbols; ++s) {
+      coarse_rotation.skip(kCpLength);
+      fine_rotation.skip(kCpLength);
+      const std::size_t body = kPreamble + s * kSymbolSamples + kCpLength;
+      for (std::size_t n = body; n < body + kFftSize; ++n) {
+        Cx x = raw_samples[n];
+        x *= coarse_rotation.next();
+        x *= fine_rotation.next();
+        corrected[n] = x;
+      }
+    }
     fe.cfo_hz = coarse + fine;
     OBS_COUNT_N("phy.rx.sync.items", corrected.size());
   }

@@ -39,6 +39,9 @@ double estimate_cfo_fine(std::span<const Cx> ltf_samples) {
   return cfo_from_lag(ltf_samples.subspan(32), 64);
 }
 
+CfoRotator::CfoRotator(double cfo_hz)
+    : step_(-2.0 * std::numbers::pi * cfo_hz / kSampleRateHz) {}
+
 void correct_cfo(std::span<Cx> samples, double cfo_hz) {
   const double step = -2.0 * std::numbers::pi * cfo_hz / kSampleRateHz;
   double phase = 0.0;

@@ -3,6 +3,7 @@
 // impairments in channel/impairments.h.
 #pragma once
 
+#include <cmath>
 #include <optional>
 #include <span>
 
@@ -21,6 +22,32 @@ double estimate_cfo_fine(std::span<const Cx> ltf_samples);
 
 // Derotates a burst in place by `cfo_hz`.
 void correct_cfo(std::span<Cx> samples, double cfo_hz);
+
+// correct_cfo()'s rotation, one sample at a time from the burst start:
+// the phase recurrence steps through every sample exactly as
+// correct_cfo()'s loop does, but a caller rotates only the samples it
+// will read and skips the rest at the cost of one addition each (no
+// sincos). x *= next() on every sample of a burst is correct_cfo().
+class CfoRotator {
+ public:
+  explicit CfoRotator(double cfo_hz);
+
+  // Steps the phase past `count` samples without rotating them.
+  void skip(std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) phase_ += step_;
+  }
+
+  // The next sample's rotation; steps the phase past it.
+  Cx next() {
+    const Cx rotation{std::cos(phase_), std::sin(phase_)};
+    phase_ += step_;
+    return rotation;
+  }
+
+ private:
+  double step_;
+  double phase_ = 0.0;
+};
 
 // --- Packet detection / symbol timing ----------------------------------
 

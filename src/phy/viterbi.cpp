@@ -254,6 +254,7 @@ __attribute__((target("avx2"))) void acs_avx2(const std::int16_t* q,
   store8(metric + 40, m5);
   store8(metric + 48, m6);
   store8(metric + 56, m7);
+  _mm256_zeroupper();
 }
 #endif
 

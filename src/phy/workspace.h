@@ -29,7 +29,9 @@
 namespace silence {
 
 struct PhyWorkspace {
-  // RX: CFO-corrected copy of the incoming burst.
+  // RX: CFO-corrected copy of the incoming burst, the size of the burst.
+  // Only the samples the receiver reads are written: the LTF after its
+  // guard and each whole symbol's FFT body.
   CxVec corrected;
   // RX: demapped LLR stream (symbol order) and its deinterleaved form.
   std::vector<double> llrs;

@@ -22,9 +22,9 @@ Link::Link(const LinkConfig& config)
 CxVec Link::send(std::span<const Cx> samples) {
   OBS_SPAN("sim.link.send");
   OBS_COUNT("sim.link.sends");
-  CxVec tx(samples.begin(), samples.end());
-  if (radio_) tx = radio_->apply(tx);
-  CxVec received = channel_.transmit(tx, noise_var_, rng_);
+  CxVec received =
+      radio_ ? channel_.transmit(radio_->apply(samples), noise_var_, rng_)
+             : channel_.transmit(samples, noise_var_, rng_);
   if (interferer_) interferer_->apply(received, rng_);
   return received;
 }

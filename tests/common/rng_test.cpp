@@ -1,5 +1,7 @@
 #include "common/rng.h"
 
+#include "common/rng_kernels.h"
+
 #include <algorithm>
 #include <bit>
 #include <cmath>
@@ -194,7 +196,9 @@ TEST(RngOracle, InterleavedCallsMatchLibstdcxx) {
           break;
         case 5: {
           const double variance = 0.5 * (1 + choose(8));
-          bulk.assign(choose(41), Cx{0.25, -0.5});
+          // Mostly short fills; one in eight runs up to ~6 engine blocks.
+          bulk.assign(choose(8) == 0 ? choose(701) : choose(41),
+                      Cx{0.25, -0.5});
           CxVec expected = bulk;
           ours.add_complex_gaussian(bulk, variance);
           for (Cx& x : expected) x += theirs.complex_gaussian(variance);
@@ -256,6 +260,95 @@ TEST(RngOracle, BulkFillEqualsPerSampleLoop) {
       ASSERT_EQ(bits_of(bulk.gaussian()), bits_of(loop.gaussian()));
     }
   }
+}
+
+// Both AWGN fills (common/rng_kernels.h) against libstdc++, and the staged
+// fill against the per-sample loop, on bit patterns: every fill length
+// from 0 to 700 samples, starting in the stateless first half-block
+// (word 0, and word 100 so that longer fills cross word 156), at odd and
+// even block positions (fills that cross a twist with a pair straddling
+// the block end, or start on it at word 311), with and without a pending
+// saved value, at variance 0.37 and 0 (signed zeros in the buffer).
+// After each fill the next draws must agree too: the saved value and the
+// engine position a fill leaves behind.
+using rng_kernels::FillFn;
+
+void start_streams(std::size_t words, bool saved_pending, Rng& a, Rng& b,
+                   StdRng& theirs) {
+  for (std::size_t w = 0; w < words; ++w) {
+    a.engine()();
+    b.engine()();
+    theirs.engine()();
+  }
+  if (saved_pending) {
+    a.gaussian();
+    b.gaussian();
+    theirs.gaussian();
+  }
+}
+
+CxVec fill_start(std::size_t count, double variance) {
+  CxVec v(count);
+  for (std::size_t k = 0; k < count; ++k) {
+    v[k] = variance == 0.0 ? Cx{k % 3 == 0 ? -0.0 : 0.0, -0.0}
+                           : Cx{0.25 * static_cast<double>(k % 7), -0.5};
+  }
+  return v;
+}
+
+// Runs `fill` and the libstdc++ loop side by side over every start and
+// length; with `oracle` set, runs it as a third stream and checks it too.
+void expect_fill_matches(FillFn fill, FillFn oracle) {
+  const std::size_t starts[] = {0, 100, 157, 300, 311, 625};
+  for (const std::uint64_t seed : {std::uint64_t{42}, kAllOnes}) {
+    for (std::size_t count = 0; count <= 700; ++count) {
+      for (const std::size_t words : starts) {
+        for (const bool saved_pending : {false, true}) {
+          const double variance = (count + words) % 5 == 0 ? 0.0 : 0.37;
+          Rng ours(seed), loop(seed);
+          StdRng theirs(seed);
+          start_streams(words, saved_pending, ours, loop, theirs);
+          CxVec a = fill_start(count, variance);
+          CxVec b = a;
+          CxVec c = a;
+          fill(ours, a, variance);
+          for (Cx& x : c) x += theirs.complex_gaussian(variance);
+          ASSERT_TRUE(same_bits(a, c))
+              << "seed " << seed << " count " << count << " words " << words
+              << " saved " << saved_pending;
+          if (oracle != nullptr) {
+            oracle(loop, b, variance);
+            ASSERT_TRUE(same_bits(a, b)) << "count " << count;
+          }
+          for (int k = 0; k < 3; ++k) {
+            const double g = theirs.gaussian();
+            ASSERT_EQ(bits_of(ours.gaussian()), bits_of(g)) << count;
+            if (oracle != nullptr) {
+              ASSERT_EQ(bits_of(loop.gaussian()), bits_of(g)) << count;
+            }
+          }
+          ASSERT_EQ(ours.engine()(), theirs.engine()()) << count;
+        }
+      }
+    }
+  }
+}
+
+TEST(RngOracle, PerSampleFillMatchesLibstdcxx) {
+  expect_fill_matches(rng_kernels::per_sample_fill, nullptr);
+}
+
+class RngKernels : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (staged_ == nullptr) GTEST_SKIP() << "no staged fill on this CPU";
+  }
+
+  const FillFn staged_ = rng_kernels::staged_fill();
+};
+
+TEST_F(RngKernels, StagedFillMatchesPerSampleLoopAndLibstdcxx) {
+  expect_fill_matches(staged_, rng_kernels::per_sample_fill);
 }
 
 // Copies taken before the first draw, in the stateless first half-block,

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <random>
 #include <sstream>
+#include <thread>
 
 #include "runner/json.h"
 
@@ -236,6 +240,77 @@ TEST(FlightDumpRouter, RoutesTriggeredRecordingsUnderBudget) {
 
   router.disable();
   std::filesystem::remove_all(dir);
+}
+
+// File name -> bytes of every dump in `dir`.
+std::map<std::string, std::string> dump_listing(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::string> listing;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::stringstream bytes;
+    bytes << in.rdbuf();
+    listing[entry.path().filename().string()] = bytes.str();
+  }
+  return listing;
+}
+
+// One shuffled set of 40 anomalous trials (two sweeps, four points, five
+// trials), routed under a limit of 10 from one thread and from four: both
+// directories must hold the same 10 files, byte for byte, and they must
+// be the 10 lowest (sweep, point, trial) labels.
+TEST(FlightDumpRouter, KeepsTheLowestLabelsAtAnyThreadCount) {
+  std::vector<TrialLabel> labels;
+  for (const char* sweep : {"router_test.b", "router_test.a"}) {
+    for (std::size_t point = 0; point < 4; ++point) {
+      for (std::size_t trial = 0; trial < 5; ++trial) {
+        labels.push_back({sweep, point, trial});
+      }
+    }
+  }
+  std::shuffle(labels.begin(), labels.end(), std::mt19937(5));
+  auto& router = DumpRouter::global();
+  const auto route_all = [&](const std::filesystem::path& dir,
+                             std::size_t threads) {
+    std::filesystem::remove_all(dir);
+    router.configure(dir.string(), /*limit=*/10);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&, t] {
+        for (std::size_t i = t; i < labels.size(); i += threads) {
+          const TrialLabel& label = labels[i];
+          const std::uint64_t seed =
+              100 * label.point_index + label.trial_index;
+          TrialRecording rec(label, seed, test_spec());
+          rec.record(make_event(seed));
+          rec.trigger("crc_fail");
+          router.route(rec);
+        }
+      });
+    }
+    for (std::thread& th : pool) th.join();
+    EXPECT_EQ(router.dumped(), 10u);
+    EXPECT_EQ(router.suppressed(), 30u);
+    router.disable();
+    return dump_listing(dir);
+  };
+  const std::filesystem::path root =
+      std::filesystem::path(testing::TempDir()) / "flight_router_order";
+  const auto one = route_all(root / "one", 1);
+  const auto four = route_all(root / "four", 4);
+  EXPECT_EQ(one, four);
+  std::vector<std::string> expected;
+  for (std::size_t point = 0; point < 2; ++point) {
+    for (std::size_t trial = 0; trial < 5; ++trial) {
+      expected.push_back(DumpRouter::dump_name(
+          {"router_test.a", point, trial}, 100 * point + trial));
+    }
+  }
+  std::sort(expected.begin(), expected.end());
+  std::vector<std::string> names;
+  for (const auto& [name, bytes] : one) names.push_back(name);
+  EXPECT_EQ(names, expected);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
