@@ -210,7 +210,7 @@ runner::SweepReport part_c(const bench::BenchArgs& args) {
   report.wall_seconds = outcome.wall_seconds;
   report.trials_run = outcome.trials_run;
   // Both detector variants score the same packets, and both evaluations
-  // record into the health registry — so the cross-checkable total is
+  // record into the health cells — so the cross-checkable total is
   // their sum.
   DetectionCounts totals;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {

@@ -124,8 +124,7 @@ double SlotHist::quantile(double q) const {
   snap.sum = sum;
   snap.min = min;
   snap.max = max;
-  snap.buckets = buckets;
-  snap.buckets.resize(obs::kHistogramBuckets, 0);
+  std::copy(buckets.begin(), buckets.end(), snap.buckets.begin());
   return snap.quantile(q);
 }
 

@@ -1,6 +1,6 @@
 #include "obs/health/health.h"
 
-#include <algorithm>
+#include <atomic>
 #include <stdexcept>
 #include <string>
 
@@ -9,17 +9,26 @@
 namespace silence::obs::health {
 namespace {
 
-// Single-writer cells, same discipline as the metrics registry: plain
-// load+store beats fetch_add and is still tear-free for snapshot readers.
-inline void cell_add(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
-  cell.store(cell.load(std::memory_order_relaxed) + delta,
-             std::memory_order_relaxed);
-}
-
 constexpr std::size_t kNumCounters = static_cast<std::size_t>(Counter::kCount);
 constexpr std::size_t kNumWaterfalls =
     static_cast<std::size_t>(Waterfall::kCount);
 constexpr std::size_t kNumTruths = static_cast<std::size_t>(Truth::kCount);
+
+// The fixed-id layout in obs::Registry's fixed tail. Counter c sits at
+// id kMaxCounters + c and histogram cell i at kMaxHistograms + i, with the
+// cells in HealthSnapshot's order: waterfalls[kind][sc], then
+// scores[truth][sc], then the nabla-EVM cell.
+constexpr std::size_t kScoreCells = kNumWaterfalls * kSubcarriers;
+constexpr std::size_t kNablaEvmCell = kScoreCells + kNumTruths * kSubcarriers;
+static_assert(kNumCounters == kFixedCounters,
+              "obs::kFixedCounters must match health's counters");
+static_assert(kNablaEvmCell + 1 == kFixedHistograms,
+              "obs::kFixedHistograms must match health's cells");
+
+void record(std::size_t cell, std::uint64_t value) {
+  Registry::global().histogram_record(
+      static_cast<std::uint32_t>(kMaxHistograms + cell), value);
+}
 
 constexpr const char* kCounterNames[kNumCounters] = {
     "plan.calls",
@@ -56,7 +65,7 @@ const runner::Json& require(const runner::Json& json, std::string_view key) {
   return *value;
 }
 
-runner::Json hist_json(const HealthHist& h) {
+runner::Json hist_json(const HistogramSnapshot& h) {
   runner::Json root = runner::Json::object();
   root.set("count", static_cast<std::int64_t>(h.count));
   root.set("sum", static_cast<std::int64_t>(h.sum));
@@ -72,8 +81,8 @@ runner::Json hist_json(const HealthHist& h) {
   return root;
 }
 
-HealthHist hist_from_json(const runner::Json& json) {
-  HealthHist h;
+HistogramSnapshot hist_from_json(const runner::Json& json) {
+  HistogramSnapshot h;
   h.count = static_cast<std::uint64_t>(require(json, "count").as_int());
   h.sum = static_cast<std::uint64_t>(require(json, "sum").as_int());
   h.min = static_cast<std::uint64_t>(require(json, "min").as_int());
@@ -89,14 +98,15 @@ HealthHist hist_from_json(const runner::Json& json) {
   return h;
 }
 
-runner::Json hist_row_json(const std::array<HealthHist, kSubcarriers>& row) {
+runner::Json hist_row_json(
+    const std::array<HistogramSnapshot, kSubcarriers>& row) {
   runner::Json cells = runner::Json::array();
-  for (const HealthHist& h : row) cells.push_back(hist_json(h));
+  for (const HistogramSnapshot& h : row) cells.push_back(hist_json(h));
   return cells;
 }
 
 void hist_row_from_json(const runner::Json& cells,
-                        std::array<HealthHist, kSubcarriers>& row) {
+                        std::array<HistogramSnapshot, kSubcarriers>& row) {
   if (!cells.is_array() || cells.size() != kSubcarriers) {
     throw std::runtime_error("health: subcarrier row must have 48 cells");
   }
@@ -107,190 +117,55 @@ void hist_row_from_json(const runner::Json& cells,
 
 }  // namespace
 
-const char* counter_name(Counter c) {
-  return kCounterNames[static_cast<std::size_t>(c)];
-}
-
-const char* waterfall_name(Waterfall w) {
-  return kWaterfallNames[static_cast<std::size_t>(w)];
-}
-
-const char* truth_name(Truth t) {
-  return kTruthNames[static_cast<std::size_t>(t)];
-}
-
-HealthHist& HealthHist::operator+=(const HealthHist& o) {
-  if (o.count == 0) return *this;
-  if (count == 0 || o.min < min) min = o.min;
-  if (count == 0 || o.max > max) max = o.max;
-  count += o.count;
-  sum += o.sum;
-  for (std::size_t b = 0; b < buckets.size(); ++b) buckets[b] += o.buckets[b];
-  return *this;
-}
-
-bool HealthSnapshot::empty() const {
-  for (const std::uint64_t c : counters) {
-    if (c != 0) return false;
-  }
-  for (const auto& kind : waterfalls) {
-    for (const HealthHist& h : kind) {
-      if (h.count != 0) return false;
-    }
-  }
-  for (const auto& truth : scores) {
-    for (const HealthHist& h : truth) {
-      if (h.count != 0) return false;
-    }
-  }
-  return nabla_evm.count == 0;
-}
+bool HealthSnapshot::empty() const { return *this == HealthSnapshot{}; }
 
 HealthSnapshot& HealthSnapshot::operator+=(const HealthSnapshot& o) {
   for (std::size_t i = 0; i < counters.size(); ++i) counters[i] += o.counters[i];
-  for (std::size_t w = 0; w < waterfalls.size(); ++w) {
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      waterfalls[w][s] += o.waterfalls[w][s];
+  const auto add_rows = [](auto& rows, const auto& others) {
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t s = 0; s < kSubcarriers; ++s) rows[r][s] += others[r][s];
     }
-  }
-  for (std::size_t t = 0; t < scores.size(); ++t) {
-    for (std::size_t s = 0; s < kSubcarriers; ++s) {
-      scores[t][s] += o.scores[t][s];
-    }
-  }
+  };
+  add_rows(waterfalls, o.waterfalls);
+  add_rows(scores, o.scores);
   nabla_evm += o.nabla_evm;
   return *this;
 }
 
-Registry& Registry::global() {
-  static Registry* instance = new Registry();  // leaked, like the metrics
-  return *instance;                            // registry
+void count(Counter c, std::uint64_t delta) {
+  Registry::global().counter_add(
+      static_cast<std::uint32_t>(kMaxCounters + static_cast<std::size_t>(c)),
+      delta);
 }
 
-// Ties a pooled block to one thread's lifetime; returned to the free
-// list on thread exit so totals survive thread death and memory stays
-// bounded at O(peak concurrent threads).
-struct HealthBlockLease {
-  Registry* registry = nullptr;
-  Registry::ThreadBlock* block = nullptr;
-
-  Registry::ThreadBlock& acquire(Registry& reg) {
-    if (block == nullptr) {
-      registry = &reg;
-      std::lock_guard lock(reg.mutex_);
-      if (!reg.free_blocks_.empty()) {
-        block = reg.free_blocks_.back();
-        reg.free_blocks_.pop_back();
-      } else {
-        block = &reg.blocks_.emplace_back();
-      }
-    }
-    return *block;
-  }
-
-  ~HealthBlockLease() {
-    if (block != nullptr) {
-      std::lock_guard lock(registry->mutex_);
-      registry->free_blocks_.push_back(block);
-    }
-  }
-};
-
-Registry::ThreadBlock& Registry::local_block() {
-  thread_local HealthBlockLease lease;
-  return lease.acquire(*this);
-}
-
-void Registry::record_cell(HistCells& cell, std::uint64_t value) {
-  const std::uint64_t count = cell.count.load(std::memory_order_relaxed);
-  if (count == 0 || value < cell.min.load(std::memory_order_relaxed)) {
-    cell.min.store(value, std::memory_order_relaxed);
-  }
-  if (count == 0 || value > cell.max.load(std::memory_order_relaxed)) {
-    cell.max.store(value, std::memory_order_relaxed);
-  }
-  cell.count.store(count + 1, std::memory_order_relaxed);
-  cell_add(cell.sum, value);
-  cell_add(cell.buckets[histogram_bucket(value)], 1);
-}
-
-void Registry::count(Counter c, std::uint64_t delta) {
-  cell_add(local_block().counters[static_cast<std::size_t>(c)], delta);
-}
-
-void Registry::waterfall(Waterfall kind, std::size_t subcarrier,
-                         std::uint64_t value) {
+void waterfall(Waterfall kind, std::size_t subcarrier, std::uint64_t value) {
   if (subcarrier >= kSubcarriers) return;
-  record_cell(
-      local_block().waterfalls[static_cast<std::size_t>(kind)][subcarrier],
-      value);
+  record(static_cast<std::size_t>(kind) * kSubcarriers + subcarrier, value);
 }
 
-void Registry::score(Truth truth, std::size_t subcarrier,
-                     std::uint64_t value) {
+void score(Truth truth, std::size_t subcarrier, std::uint64_t value) {
   if (subcarrier >= kSubcarriers) return;
-  record_cell(local_block().scores[static_cast<std::size_t>(truth)][subcarrier],
-              value);
+  record(kScoreCells + static_cast<std::size_t>(truth) * kSubcarriers +
+             subcarrier,
+         value);
 }
 
-void Registry::record_nabla_evm(std::uint64_t value) {
-  record_cell(local_block().nabla_evm, value);
-}
+void record_nabla_evm(std::uint64_t value) { record(kNablaEvmCell, value); }
 
-HealthSnapshot Registry::snapshot() const {
-  std::lock_guard lock(mutex_);
+HealthSnapshot snapshot() {
+  const FixedSnapshot fixed = Registry::global().fixed_snapshot();
   HealthSnapshot snap;
-  const auto merge_cell = [](HealthHist& into, const HistCells& cells) {
-    const std::uint64_t count = cells.count.load(std::memory_order_relaxed);
-    if (count == 0) return;
-    const std::uint64_t mn = cells.min.load(std::memory_order_relaxed);
-    const std::uint64_t mx = cells.max.load(std::memory_order_relaxed);
-    if (into.count == 0 || mn < into.min) into.min = mn;
-    if (into.count == 0 || mx > into.max) into.max = mx;
-    into.count += count;
-    into.sum += cells.sum.load(std::memory_order_relaxed);
-    for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-      into.buckets[b] += cells.buckets[b].load(std::memory_order_relaxed);
-    }
-  };
-  for (const ThreadBlock& block : blocks_) {
-    for (std::size_t i = 0; i < kNumCounters; ++i) {
-      snap.counters[i] += block.counters[i].load(std::memory_order_relaxed);
-    }
-    for (std::size_t w = 0; w < kNumWaterfalls; ++w) {
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        merge_cell(snap.waterfalls[w][s], block.waterfalls[w][s]);
-      }
-    }
-    for (std::size_t t = 0; t < kNumTruths; ++t) {
-      for (std::size_t s = 0; s < kSubcarriers; ++s) {
-        merge_cell(snap.scores[t][s], block.scores[t][s]);
-      }
-    }
-    merge_cell(snap.nabla_evm, block.nabla_evm);
+  snap.counters = fixed.counters;
+  // The fixed histograms are in HealthSnapshot's order (see the layout).
+  const HistogramSnapshot* cell = fixed.histograms.data();
+  for (auto& row : snap.waterfalls) {
+    for (HistogramSnapshot& h : row) h = *cell++;
   }
+  for (auto& row : snap.scores) {
+    for (HistogramSnapshot& h : row) h = *cell++;
+  }
+  snap.nabla_evm = *cell;
   return snap;
-}
-
-void Registry::reset() {
-  std::lock_guard lock(mutex_);
-  const auto clear_cell = [](HistCells& cell) {
-    cell.count.store(0, std::memory_order_relaxed);
-    cell.sum.store(0, std::memory_order_relaxed);
-    cell.min.store(0, std::memory_order_relaxed);
-    cell.max.store(0, std::memory_order_relaxed);
-    for (auto& b : cell.buckets) b.store(0, std::memory_order_relaxed);
-  };
-  for (ThreadBlock& block : blocks_) {
-    for (auto& c : block.counters) c.store(0, std::memory_order_relaxed);
-    for (auto& kind : block.waterfalls) {
-      for (auto& cell : kind) clear_cell(cell);
-    }
-    for (auto& truth : block.scores) {
-      for (auto& cell : truth) clear_cell(cell);
-    }
-    clear_cell(block.nabla_evm);
-  }
 }
 
 std::uint64_t quantize(double value, double scale) {
@@ -386,31 +261,22 @@ void maybe_trace_counters() {
   if (calls.fetch_add(1, std::memory_order_relaxed) % kTraceSampleEvery != 0) {
     return;
   }
-  const HealthSnapshot snap = Registry::global().snapshot();
-  std::uint64_t evm_count = 0, evm_sum = 0;
-  for (const HealthHist& h :
+  const HealthSnapshot snap = snapshot();
+  HistogramSnapshot evm, scores;
+  for (const HistogramSnapshot& h :
        snap.waterfalls[static_cast<std::size_t>(Waterfall::kEvm)]) {
-    evm_count += h.count;
-    evm_sum += h.sum;
+    evm += h;
   }
-  if (evm_count > 0) {
-    tracer.counter("health.mean_evm", static_cast<double>(evm_sum) /
-                                          static_cast<double>(evm_count) /
-                                          kEvmScale);
-  }
-  std::uint64_t score_count = 0, score_sum = 0;
   for (const auto& truth : snap.scores) {
-    for (const HealthHist& h : truth) {
-      score_count += h.count;
-      score_sum += h.sum;
-    }
+    for (const HistogramSnapshot& h : truth) scores += h;
   }
-  if (score_count > 0) {
+  if (evm.count > 0) {
+    tracer.counter("health.mean_evm", evm.mean() / kEvmScale);
+  }
+  if (scores.count > 0) {
     // Mean energy/threshold ratio across all detector evaluations: the
     // margin the score stream sits at relative to the decision boundary.
-    tracer.counter("health.detector_margin",
-                   static_cast<double>(score_sum) /
-                       static_cast<double>(score_count) / kScoreScale);
+    tracer.counter("health.detector_margin", scores.mean() / kScoreScale);
   }
   const std::uint64_t rounds =
       snap.counters[static_cast<std::size_t>(Counter::kSelectionRounds)];

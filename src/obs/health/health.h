@@ -2,17 +2,16 @@
 // the detector score stream split by ground truth, and the silence-plan
 // audit counters (paper Eq. 1/2, §III-B/C/D quantities).
 //
-// The obs metrics registry (obs/metrics.h) interns names dynamically and
-// is capped at 512 histograms — too small for 48-wide waterfalls next to
-// the per-station net.sta.* families. This layer therefore uses a fixed
-// enum-indexed cell layout: 3 waterfall kinds x 48 subcarriers, 2 ground
-// truths x 48 detector cells, one nabla-EVM drift cell and a small set of
-// audit counters. Hot paths record through the HEALTH_* macros below;
-// writes land in pooled per-thread blocks of relaxed atomics exactly like
-// the metrics registry (single writer per block), and every accumulated
-// quantity is an unsigned integer, so merging blocks — or the sidecars of
-// a campaign's sweeps — by summation is order-independent and a snapshot
-// of the same recorded values is byte-identical at any thread count.
+// The cells are a fixed tail of the one metrics registry (obs/metrics.h):
+// 15 audit counters and 241 histograms (3 waterfall kinds x 48
+// subcarriers, 2 ground truths x 48 detector cells, one nabla-EVM drift
+// cell) at compile-time ids past the named ones. Named histograms are
+// interned and capped at 512, too few for these 48-wide rows next to the
+// per-station net.sta.* families, so health never interns: health.cpp
+// maps each (enum, subcarrier) to its fixed id, and the cells stay out of
+// Registry::snapshot() and `.metrics.json`. Like every registry cell they
+// are unsigned integers in per-thread blocks, so merging blocks, or a
+// campaign's sidecars, is exact and byte-identical at any thread count.
 //
 // All recorded values are fixed-point quantizations (scales below); the
 // detector score additionally carries its decision in the quantization:
@@ -24,22 +23,18 @@
 // count, and the empirical ROC derived from the buckets reproduces
 // count_confusion()'s miss/false-alarm tallies bit-for-bit at score 256.
 //
-// Building with SILENCE_OBS=OFF compiles every HEALTH_* macro to nothing;
-// the registry class itself still exists (so the runner's sidecar
-// plumbing links in both modes) but stays empty, and no .health.json is
-// written.
+// Building with SILENCE_OBS=OFF compiles every HEALTH_* macro to nothing,
+// so the snapshot stays empty and no .health.json is written; the
+// functions still link for the runner's sidecar plumbing and the tools.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <vector>
 
-#include "obs/metrics.h"  // kHistogramBuckets, histogram_bucket, SILENCE_OBS
-#include "obs/obs.h"
+#include "obs/metrics.h"  // HistogramSnapshot, histogram_bucket
+#include "obs/obs.h"      // SILENCE_OBS_ON
 #include "runner/json.h"
 
 namespace silence::obs::health {
@@ -71,8 +66,8 @@ enum class Waterfall : std::size_t {
 // Ground-truth label of a detector score (known only in simulation).
 enum class Truth : std::size_t { kActive = 0, kSilent, kCount };
 
-// Silence-plan / detection / selection audit counters. Names in
-// counter_name() follow the dotted scheme of the metrics registry.
+// Silence-plan / detection / selection audit counters. Their sidecar
+// names follow the dotted scheme of the metrics registry.
 enum class Counter : std::size_t {
   // plan_silences(): messages planned into transmit grids.
   kPlans = 0,
@@ -98,41 +93,21 @@ enum class Counter : std::size_t {
   kCount,
 };
 
-const char* counter_name(Counter c);
-const char* waterfall_name(Waterfall w);  // "snr_x256", "evm_x4096", ...
-const char* truth_name(Truth t);          // "active", "silent"
-
-// One histogram cell: same integer quintuple as obs::HistogramSnapshot.
-struct HealthHist {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;  // meaningful only when count > 0
-  std::uint64_t max = 0;
-  std::array<std::uint64_t, kHistogramBuckets> buckets{};
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  HealthHist& operator+=(const HealthHist& o);
-  friend bool operator==(const HealthHist&, const HealthHist&) = default;
-};
-
-// Deterministic merged view of every thread block. Integer-only, so
-// operator+= (used by merge_health_json) is exact and
-// order-independent.
+// Merged view of the fixed cells. Integer-only, so operator+= (used by
+// merge_health_json) is exact and order-independent. Cells are unnamed
+// obs::HistogramSnapshots.
 struct HealthSnapshot {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)>
       counters{};
   // waterfalls[kind][subcarrier]
-  std::array<std::array<HealthHist, kSubcarriers>,
+  std::array<std::array<HistogramSnapshot, kSubcarriers>,
              static_cast<std::size_t>(Waterfall::kCount)>
       waterfalls{};
   // scores[truth][subcarrier]
-  std::array<std::array<HealthHist, kSubcarriers>,
+  std::array<std::array<HistogramSnapshot, kSubcarriers>,
              static_cast<std::size_t>(Truth::kCount)>
       scores{};
-  HealthHist nabla_evm{};
+  HistogramSnapshot nabla_evm{};
 
   bool empty() const;
   HealthSnapshot& operator+=(const HealthSnapshot& o);
@@ -140,55 +115,17 @@ struct HealthSnapshot {
                          const HealthSnapshot&) = default;
 };
 
-class Registry {
- public:
-  static Registry& global();
+// Hot-path recording into the fixed tail of obs::Registry::global().
+// Wait-free: relaxed load+store pairs on the calling thread's block.
+// `subcarrier` outside [0, 48) is ignored.
+void count(Counter c, std::uint64_t delta);
+void waterfall(Waterfall kind, std::size_t subcarrier, std::uint64_t value);
+void score(Truth truth, std::size_t subcarrier, std::uint64_t value);
+void record_nabla_evm(std::uint64_t value);
 
-  // Hot-path recording. Wait-free: relaxed load+store pairs on the
-  // calling thread's block. `subcarrier` outside [0, 48) is ignored.
-  void count(Counter c, std::uint64_t delta);
-  void waterfall(Waterfall kind, std::size_t subcarrier, std::uint64_t value);
-  void score(Truth truth, std::size_t subcarrier, std::uint64_t value);
-  void record_nabla_evm(std::uint64_t value);
-
-  // Deterministic merged view; safe to call while other threads record.
-  HealthSnapshot snapshot() const;
-
-  // Zeroes all recorded values (tests). Not meant to run concurrently
-  // with recording.
-  void reset();
-
- private:
-  struct HistCells {
-    std::atomic<std::uint64_t> count{0};
-    std::atomic<std::uint64_t> sum{0};
-    std::atomic<std::uint64_t> min{0};
-    std::atomic<std::uint64_t> max{0};
-    std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  };
-  // 241 histogram cells (~85 KB) + counters per concurrent thread.
-  struct ThreadBlock {
-    std::array<std::atomic<std::uint64_t>,
-               static_cast<std::size_t>(Counter::kCount)>
-        counters{};
-    std::array<std::array<HistCells, kSubcarriers>,
-               static_cast<std::size_t>(Waterfall::kCount)>
-        waterfalls{};
-    std::array<std::array<HistCells, kSubcarriers>,
-               static_cast<std::size_t>(Truth::kCount)>
-        scores{};
-    HistCells nabla_evm{};
-  };
-
-  Registry() = default;
-  ThreadBlock& local_block();
-  static void record_cell(HistCells& cell, std::uint64_t value);
-  friend struct HealthBlockLease;
-
-  mutable std::mutex mutex_;
-  std::deque<ThreadBlock> blocks_;         // stable addresses, never shrink
-  std::vector<ThreadBlock*> free_blocks_;  // returned by dead threads
-};
+// Deterministic merged view of the fixed cells; safe to call while other
+// threads record. obs::Registry::global().reset() zeroes them.
+HealthSnapshot snapshot();
 
 // --- Quantization helpers (pure; usable in both ON and OFF builds) -----
 
@@ -218,9 +155,10 @@ runner::Json health_json(const HealthSnapshot& snapshot);
 HealthSnapshot health_from_json(const runner::Json& doc);
 
 // Deterministic merge of several health_json() documents (one per sweep
-// of a silence_campaign run): every quantity is an integer sum (min/max combine as min/max), so the merged document is
-// byte-identical to the one a single process recording the same values
-// would have written.
+// of a silence_campaign run): counters add and cells combine through
+// HistogramSnapshot::operator+=, so the merged document is byte-identical
+// to the one a single process recording the same values would have
+// written.
 runner::Json merge_health_json(const std::vector<runner::Json>& docs);
 
 // --- Perfetto counter sampling -----------------------------------------
@@ -243,23 +181,23 @@ void maybe_trace_counters();
 #if SILENCE_OBS_ON
 
 #define HEALTH_COUNT_N(counter, n)                                       \
-  ::silence::obs::health::Registry::global().count(                      \
+  ::silence::obs::health::count(                                         \
       ::silence::obs::health::Counter::counter,                          \
       static_cast<std::uint64_t>(n))
 #define HEALTH_COUNT(counter) HEALTH_COUNT_N(counter, 1)
 #define HEALTH_WATERFALL(kind, subcarrier, value)                        \
-  ::silence::obs::health::Registry::global().waterfall(                  \
+  ::silence::obs::health::waterfall(                                     \
       ::silence::obs::health::Waterfall::kind,                           \
       static_cast<std::size_t>(subcarrier),                              \
       static_cast<std::uint64_t>(value))
 #define HEALTH_SCORE(truth_silent, subcarrier, value)                    \
-  ::silence::obs::health::Registry::global().score(                      \
+  ::silence::obs::health::score(                                         \
       (truth_silent) ? ::silence::obs::health::Truth::kSilent            \
                      : ::silence::obs::health::Truth::kActive,           \
       static_cast<std::size_t>(subcarrier),                              \
       static_cast<std::uint64_t>(value))
 #define HEALTH_NABLA_EVM(value)                                          \
-  ::silence::obs::health::Registry::global().record_nabla_evm(           \
+  ::silence::obs::health::record_nabla_evm(                              \
       static_cast<std::uint64_t>(value))
 
 #else  // SILENCE_OBS_ON

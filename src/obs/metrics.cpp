@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cstdio>
+#include <map>
 #include <stdexcept>
 
 namespace silence::obs {
@@ -28,27 +28,6 @@ std::uint32_t intern(std::vector<std::string>& names, std::string_view name,
 inline void cell_add(std::atomic<std::uint64_t>& cell, std::uint64_t delta) {
   cell.store(cell.load(std::memory_order_relaxed) + delta,
              std::memory_order_relaxed);
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -87,6 +66,16 @@ double HistogramSnapshot::quantile(double q) const {
     cumulative += n;
   }
   return static_cast<double>(max);
+}
+
+HistogramSnapshot& HistogramSnapshot::operator+=(const HistogramSnapshot& o) {
+  if (o.count == 0) return *this;
+  if (count == 0 || o.min < min) min = o.min;
+  if (count == 0 || o.max > max) max = o.max;
+  count += o.count;
+  sum += o.sum;
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) buckets[b] += o.buckets[b];
+  return *this;
 }
 
 std::uint64_t now_ns() {
@@ -196,6 +185,20 @@ void Registry::histogram_record(std::uint32_t id, std::uint64_t value) {
   cell_add(h.buckets[histogram_bucket(value)], 1);
 }
 
+// One thread block's cell as a snapshot, so every merge goes through
+// HistogramSnapshot::operator+=.
+HistogramSnapshot Registry::load(const HistogramCells& cells) {
+  HistogramSnapshot h;
+  h.count = cells.count.load(std::memory_order_relaxed);
+  h.sum = cells.sum.load(std::memory_order_relaxed);
+  h.min = cells.min.load(std::memory_order_relaxed);
+  h.max = cells.max.load(std::memory_order_relaxed);
+  for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
+    h.buckets[b] = cells.buckets[b].load(std::memory_order_relaxed);
+  }
+  return h;
+}
+
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard lock(mutex_);
   MetricsSnapshot snap;
@@ -207,7 +210,6 @@ MetricsSnapshot Registry::snapshot() const {
   snap.histograms.resize(histogram_names_.size());
   for (std::size_t i = 0; i < histogram_names_.size(); ++i) {
     snap.histograms[i].name = histogram_names_[i];
-    snap.histograms[i].buckets.assign(kHistogramBuckets, 0);
   }
   for (const ThreadBlock& block : blocks_) {
     for (std::size_t i = 0; i < snap.counters.size(); ++i) {
@@ -215,19 +217,7 @@ MetricsSnapshot Registry::snapshot() const {
           block.counters[i].load(std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-      const HistogramCells& cells = block.histograms[i];
-      const std::uint64_t count = cells.count.load(std::memory_order_relaxed);
-      if (count == 0) continue;
-      HistogramSnapshot& h = snap.histograms[i];
-      const std::uint64_t mn = cells.min.load(std::memory_order_relaxed);
-      const std::uint64_t mx = cells.max.load(std::memory_order_relaxed);
-      if (h.count == 0 || mn < h.min) h.min = mn;
-      if (h.count == 0 || mx > h.max) h.max = mx;
-      h.count += count;
-      h.sum += cells.sum.load(std::memory_order_relaxed);
-      for (std::size_t b = 0; b < kHistogramBuckets; ++b) {
-        h.buckets[b] += cells.buckets[b].load(std::memory_order_relaxed);
-      }
+      snap.histograms[i] += load(block.histograms[i]);
     }
   }
   for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
@@ -242,6 +232,21 @@ MetricsSnapshot Registry::snapshot() const {
   std::sort(snap.counters.begin(), snap.counters.end(), by_name);
   std::sort(snap.gauges.begin(), snap.gauges.end(), by_name);
   std::sort(snap.histograms.begin(), snap.histograms.end(), by_name);
+  return snap;
+}
+
+FixedSnapshot Registry::fixed_snapshot() const {
+  std::lock_guard lock(mutex_);
+  FixedSnapshot snap;
+  for (const ThreadBlock& block : blocks_) {
+    for (std::size_t i = 0; i < kFixedCounters; ++i) {
+      snap.counters[i] +=
+          block.counters[kMaxCounters + i].load(std::memory_order_relaxed);
+    }
+    for (std::size_t i = 0; i < kFixedHistograms; ++i) {
+      snap.histograms[i] += load(block.histograms[kMaxHistograms + i]);
+    }
+  }
   return snap;
 }
 
@@ -261,51 +266,110 @@ void Registry::reset() {
   for (auto& s : gauge_set_) s.store(false, std::memory_order_relaxed);
 }
 
-std::string metrics_to_json(const MetricsSnapshot& snapshot) {
-  std::string out = "{\n    \"counters\": {";
-  for (std::size_t i = 0; i < snapshot.counters.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, snapshot.counters[i].name);
-    out += ": " + std::to_string(snapshot.counters[i].value);
+runner::Json metrics_json(const MetricsSnapshot& snapshot) {
+  using runner::Json;
+  Json root = Json::object();
+  Json counters = Json::object();
+  for (const auto& c : snapshot.counters) {
+    counters.set(c.name, static_cast<std::int64_t>(c.value));
   }
-  out += snapshot.counters.empty() ? "},\n" : "\n    },\n";
-  out += "    \"gauges\": {";
-  for (std::size_t i = 0; i < snapshot.gauges.size(); ++i) {
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, snapshot.gauges[i].name);
-    out += ": " + std::to_string(snapshot.gauges[i].value);
+  root.set("counters", std::move(counters));
+  Json gauges = Json::object();
+  for (const auto& g : snapshot.gauges) {
+    gauges.set(g.name, static_cast<std::int64_t>(g.value));
   }
-  out += snapshot.gauges.empty() ? "},\n" : "\n    },\n";
-  out += "    \"histograms\": {";
-  for (std::size_t i = 0; i < snapshot.histograms.size(); ++i) {
-    const HistogramSnapshot& h = snapshot.histograms[i];
-    out += i == 0 ? "\n" : ",\n";
-    out += "      ";
-    append_escaped(out, h.name);
-    out += ": {\"count\": " + std::to_string(h.count);
-    out += ", \"sum\": " + std::to_string(h.sum);
-    out += ", \"min\": " + std::to_string(h.min);
-    out += ", \"max\": " + std::to_string(h.max);
-    // Trailing empty buckets are elided; floors make the file
-    // self-describing.
+  root.set("gauges", std::move(gauges));
+  Json histograms = Json::object();
+  for (const auto& h : snapshot.histograms) {
+    Json entry = Json::object();
+    entry.set("count", static_cast<std::int64_t>(h.count));
+    entry.set("sum", static_cast<std::int64_t>(h.sum));
+    entry.set("min", static_cast<std::int64_t>(h.min));
+    entry.set("max", static_cast<std::int64_t>(h.max));
+    entry.set("mean", h.mean());
+    // Bucket-interpolated latency quantiles. Appended after the legacy
+    // fields, so pre-existing keys keep their exact bytes.
+    entry.set("p50", h.quantile(0.50));
+    entry.set("p95", h.quantile(0.95));
+    entry.set("p99", h.quantile(0.99));
     std::size_t last = h.buckets.size();
     while (last > 0 && h.buckets[last - 1] == 0) --last;
-    out += ", \"bucket_floors\": [";
+    Json floors = Json::array();
+    Json buckets = Json::array();
     for (std::size_t b = 0; b < last; ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(histogram_bucket_floor(b));
+      floors.push_back(static_cast<std::int64_t>(histogram_bucket_floor(b)));
+      buckets.push_back(static_cast<std::int64_t>(h.buckets[b]));
     }
-    out += "], \"buckets\": [";
-    for (std::size_t b = 0; b < last; ++b) {
-      if (b > 0) out += ", ";
-      out += std::to_string(h.buckets[b]);
-    }
-    out += "]}";
+    entry.set("bucket_floors", std::move(floors));
+    entry.set("buckets", std::move(buckets));
+    histograms.set(h.name, std::move(entry));
   }
-  out += snapshot.histograms.empty() ? "}\n  }" : "\n    }\n  }";
-  return out;
+  root.set("histograms", std::move(histograms));
+  return root;
+}
+
+runner::Json merge_metrics_json(const std::vector<runner::Json>& docs) {
+  using runner::Json;
+  std::map<std::string, std::uint64_t> counters;
+  std::map<std::string, std::int64_t> gauges;
+  std::map<std::string, HistogramSnapshot> histograms;
+
+  const auto section = [](const Json& doc, std::string_view key) {
+    static const Json empty = Json::object();
+    const Json* value = doc.find(key);
+    if (value == nullptr) return &empty;
+    if (!value->is_object()) {
+      throw std::runtime_error("merge_metrics_json: '" + std::string(key) +
+                               "' is not an object");
+    }
+    return value;
+  };
+
+  for (const Json& doc : docs) {
+    for (const auto& [name, value] : section(doc, "counters")->as_object()) {
+      counters[name] += static_cast<std::uint64_t>(value.as_int());
+    }
+    for (const auto& [name, value] : section(doc, "gauges")->as_object()) {
+      const std::int64_t v = value.as_int();
+      const auto [it, inserted] = gauges.emplace(name, v);
+      if (!inserted && v > it->second) it->second = v;
+    }
+    for (const auto& [name, value] : section(doc, "histograms")->as_object()) {
+      const auto field = [&](std::string_view key) -> const Json& {
+        const Json* f = value.find(key);
+        if (f == nullptr) {
+          throw std::runtime_error("merge_metrics_json: histogram '" + name +
+                                   "' missing '" + std::string(key) + "'");
+        }
+        return *f;
+      };
+      HistogramSnapshot& h = histograms[name];
+      h.name = name;
+      HistogramSnapshot part;
+      part.count = static_cast<std::uint64_t>(field("count").as_int());
+      if (part.count == 0) continue;
+      part.sum = static_cast<std::uint64_t>(field("sum").as_int());
+      part.min = static_cast<std::uint64_t>(field("min").as_int());
+      part.max = static_cast<std::uint64_t>(field("max").as_int());
+      // metrics_json trims trailing zero buckets, so position == bucket
+      // index for everything it kept.
+      const Json::Array& buckets = field("buckets").as_array();
+      if (buckets.size() > kHistogramBuckets) {
+        throw std::runtime_error("merge_metrics_json: histogram '" + name +
+                                 "' has too many buckets");
+      }
+      for (std::size_t b = 0; b < buckets.size(); ++b) {
+        part.buckets[b] = static_cast<std::uint64_t>(buckets[b].as_int());
+      }
+      h += part;
+    }
+  }
+
+  MetricsSnapshot merged;
+  for (auto& [name, value] : counters) merged.counters.push_back({name, value});
+  for (auto& [name, value] : gauges) merged.gauges.push_back({name, value});
+  for (auto& [name, h] : histograms) merged.histograms.push_back(std::move(h));
+  return metrics_json(merged);
 }
 
 }  // namespace silence::obs

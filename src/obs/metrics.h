@@ -1,6 +1,7 @@
 // Low-overhead metrics registry: named counters, gauges and fixed-bucket
 // histograms for the whole pipeline (phy.tx.*, phy.rx.*, cos.*, chan.*,
-// sim.*, runner.*).
+// sim.*, runner.*), plus a fixed tail of unnamed cells at compile-time
+// ids that obs/health lays its signal-health cells out in.
 //
 // Hot-path writes go to a per-thread block of relaxed atomics — a block
 // is owned by exactly one live thread at a time (single writer), so an
@@ -16,7 +17,8 @@
 // metrics sorted by name, independent of registration order.
 //
 // Instrumentation sites should not call this API directly — use the
-// macros in obs/obs.h, which compile to no-ops when SILENCE_OBS=OFF.
+// macros in obs/obs.h (or obs/health/health.h for the fixed tail), which
+// compile to no-ops when SILENCE_OBS=OFF.
 #pragma once
 
 #include <array>
@@ -29,12 +31,21 @@
 #include <string_view>
 #include <vector>
 
+#include "runner/json.h"
+
 namespace silence::obs {
 
 // Hard caps keep thread blocks fixed-size (no hot-path growth/locking).
 inline constexpr std::size_t kMaxCounters = 256;
 inline constexpr std::size_t kMaxGauges = 64;
 inline constexpr std::size_t kMaxHistograms = 512;
+
+// The fixed tail: unnamed cells at the compile-time ids kMaxCounters + i
+// and kMaxHistograms + i, past every interned id. snapshot() never lists
+// them; fixed_snapshot() does. Sized for obs/health's layout, which
+// health.cpp checks at compile time.
+inline constexpr std::size_t kFixedCounters = 15;
+inline constexpr std::size_t kFixedHistograms = 241;
 
 // Power-of-two buckets: bucket 0 counts value 0, bucket b >= 1 counts
 // values with bit_width b, i.e. [2^(b-1), 2^b); the last bucket is
@@ -66,7 +77,7 @@ struct HistogramSnapshot {
   std::uint64_t sum = 0;
   std::uint64_t min = 0;  // meaningful only when count > 0
   std::uint64_t max = 0;
-  std::vector<std::uint64_t> buckets;  // kHistogramBuckets entries
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
 
   double mean() const {
     return count == 0 ? 0.0
@@ -79,6 +90,13 @@ struct HistogramSnapshot {
   // error by the bucket width (a factor of 2); exact at q = 0 and q = 1.
   // Returns 0 for an empty histogram.
   double quantile(double q) const;
+
+  // Adds `o`'s samples: counts, sums and buckets add, min/max combine,
+  // and an empty `o` changes nothing. The name is kept. Integer-only,
+  // so any merge order gives the same result.
+  HistogramSnapshot& operator+=(const HistogramSnapshot& o);
+  friend bool operator==(const HistogramSnapshot&,
+                         const HistogramSnapshot&) = default;
 };
 
 struct MetricsSnapshot {
@@ -95,10 +113,24 @@ struct MetricsSnapshot {
   const HistogramSnapshot* histogram(std::string_view name) const;
 };
 
-// Renders a snapshot as a JSON object string (counters/gauges/histograms
-// keyed by name) — the form embedded into trace files. Sorted input makes
-// the output deterministic.
-std::string metrics_to_json(const MetricsSnapshot& snapshot);
+// The fixed tail merged across thread blocks, indexed by i.
+struct FixedSnapshot {
+  std::array<std::uint64_t, kFixedCounters> counters{};
+  std::array<HistogramSnapshot, kFixedHistograms> histograms{};
+};
+
+// The snapshot as a JSON object keyed by metric name (histograms with
+// mean/p50/p95/p99 and trimmed buckets): the `.metrics.json` sidecar and
+// the trace's "metrics" block.
+runner::Json metrics_json(const MetricsSnapshot& snapshot);
+
+// Deterministic merge of several metrics_json() documents (e.g. the
+// sidecars of every sweep in a campaign): counters are summed,
+// gauges take the maximum, histograms are merged bucket-wise with mean /
+// p50 / p95 / p99 recomputed from the combined buckets. Output follows
+// the metrics_json() schema with every section sorted by name. Throws
+// std::runtime_error on a malformed document.
+runner::Json merge_metrics_json(const std::vector<runner::Json>& docs);
 
 class Registry {
  public:
@@ -112,7 +144,8 @@ class Registry {
   std::uint32_t gauge_id(std::string_view name);
   std::uint32_t histogram_id(std::string_view name);
 
-  // Hot-path recording. Wait-free: one relaxed load+store per cell.
+  // Hot-path recording at an interned or fixed-tail id. Wait-free: one
+  // relaxed load+store per cell.
   void counter_add(std::uint32_t id, std::uint64_t delta);
   void gauge_set(std::uint32_t id, std::int64_t value);
   void histogram_record(std::uint32_t id, std::uint64_t value);
@@ -122,9 +155,13 @@ class Registry {
   // not be included, but nothing tears).
   MetricsSnapshot snapshot() const;
 
-  // Zeroes all recorded values; registered names and ids survive. Not
-  // meant to run concurrently with recording (counts written during a
-  // reset may be lost, though nothing races in the UB sense).
+  // The fixed tail, merged the same way; same concurrency guarantee.
+  FixedSnapshot fixed_snapshot() const;
+
+  // Zeroes all recorded values, the fixed tail included; registered
+  // names and ids survive. Not meant to run concurrently with recording
+  // (counts written during a reset may be lost, though nothing races in
+  // the UB sense).
   void reset();
 
  private:
@@ -136,12 +173,15 @@ class Registry {
     std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
   };
   struct ThreadBlock {
-    std::array<std::atomic<std::uint64_t>, kMaxCounters> counters{};
-    std::array<HistogramCells, kMaxHistograms> histograms{};
+    std::array<std::atomic<std::uint64_t>, kMaxCounters + kFixedCounters>
+        counters{};
+    std::array<HistogramCells, kMaxHistograms + kFixedHistograms>
+        histograms{};
   };
 
   Registry() = default;
   ThreadBlock& local_block();
+  static HistogramSnapshot load(const HistogramCells& cells);
   friend struct ThreadBlockLease;
 
   mutable std::mutex mutex_;

@@ -1,7 +1,7 @@
-// PHY signal-health registry (obs/health): determinism of the snapshot
-// at any thread count, exactness of the quantization (including the
-// decision clamp that makes the score histograms reproduce confusion
-// counts), and the sidecar JSON round trip / merge.
+// PHY signal health (obs/health): determinism of the snapshot of its
+// fixed registry cells at any thread count, exactness of the quantization
+// (including the decision clamp that makes the score histograms
+// reproduce confusion counts), and the sidecar JSON round trip / merge.
 #include "obs/health/health.h"
 
 #include <cmath>
@@ -23,22 +23,23 @@ namespace {
 // produce the same snapshot, because every accumulated quantity is an
 // unsigned integer combined by sums (and min/max).
 void record_workload(std::uint64_t lo, std::uint64_t hi) {
-  auto& reg = Registry::global();
   for (std::uint64_t i = lo; i < hi; ++i) {
     const std::size_t sc = static_cast<std::size_t>(i % kSubcarriers);
-    reg.count(Counter::kPlans, 1);
-    reg.count(Counter::kBitsPlanned, i % 7);
-    reg.waterfall(Waterfall::kSnr, sc, i % 1000);
-    reg.waterfall(Waterfall::kEvm, sc, i % 300);
-    reg.waterfall(Waterfall::kChanMag, sc, i % 2048);
-    reg.score(i % 3 == 0 ? Truth::kSilent : Truth::kActive, sc,
-              (i * 37) % 4096);
-    reg.record_nabla_evm(i % 512);
+    count(Counter::kPlans, 1);
+    count(Counter::kBitsPlanned, i % 7);
+    waterfall(Waterfall::kSnr, sc, i % 1000);
+    waterfall(Waterfall::kEvm, sc, i % 300);
+    waterfall(Waterfall::kChanMag, sc, i % 2048);
+    score(i % 3 == 0 ? Truth::kSilent : Truth::kActive, sc, (i * 37) % 4096);
+    record_nabla_evm(i % 512);
   }
 }
 
+// Zeroes every registry cell, the health cells included.
+void reset() { obs::Registry::global().reset(); }
+
 std::string snapshot_bytes(int threads, std::uint64_t total) {
-  Registry::global().reset();
+  reset();
   std::vector<std::thread> pool;
   const std::uint64_t per = total / static_cast<std::uint64_t>(threads);
   for (int t = 0; t < threads; ++t) {
@@ -48,9 +49,8 @@ std::string snapshot_bytes(int threads, std::uint64_t total) {
     pool.emplace_back([lo, hi] { record_workload(lo, hi); });
   }
   for (std::thread& t : pool) t.join();
-  const std::string bytes =
-      health_json(Registry::global().snapshot()).dump();
-  Registry::global().reset();
+  const std::string bytes = health_json(snapshot()).dump();
+  reset();
   return bytes;
 }
 
@@ -64,16 +64,15 @@ TEST(HealthRegistry, SnapshotByteIdenticalAtAnyThreadCount) {
 }
 
 TEST(HealthRegistry, CountersAndCellsAccumulate) {
-  auto& reg = Registry::global();
-  reg.reset();
-  reg.count(Counter::kMisses, 3);
-  reg.count(Counter::kMisses, 2);
-  reg.waterfall(Waterfall::kEvm, 7, 40);
-  reg.waterfall(Waterfall::kEvm, 7, 10);
-  reg.score(Truth::kSilent, 0, 100);
-  const HealthSnapshot snap = reg.snapshot();
+  reset();
+  count(Counter::kMisses, 3);
+  count(Counter::kMisses, 2);
+  waterfall(Waterfall::kEvm, 7, 40);
+  waterfall(Waterfall::kEvm, 7, 10);
+  score(Truth::kSilent, 0, 100);
+  const HealthSnapshot snap = snapshot();
   EXPECT_EQ(snap.counters[static_cast<std::size_t>(Counter::kMisses)], 5u);
-  const HealthHist& evm =
+  const HistogramSnapshot& evm =
       snap.waterfalls[static_cast<std::size_t>(Waterfall::kEvm)][7];
   EXPECT_EQ(evm.count, 2u);
   EXPECT_EQ(evm.sum, 50u);
@@ -82,25 +81,23 @@ TEST(HealthRegistry, CountersAndCellsAccumulate) {
   EXPECT_EQ(
       snap.scores[static_cast<std::size_t>(Truth::kSilent)][0].count, 1u);
   EXPECT_FALSE(snap.empty());
-  reg.reset();
-  EXPECT_TRUE(reg.snapshot().empty());
+  reset();
+  EXPECT_TRUE(snapshot().empty());
 }
 
 TEST(HealthRegistry, OutOfRangeSubcarrierIgnored) {
-  auto& reg = Registry::global();
-  reg.reset();
-  reg.waterfall(Waterfall::kSnr, kSubcarriers, 5);
-  reg.score(Truth::kActive, kSubcarriers + 3, 5);
-  EXPECT_TRUE(reg.snapshot().empty());
-  reg.reset();
+  reset();
+  waterfall(Waterfall::kSnr, kSubcarriers, 5);
+  score(Truth::kActive, kSubcarriers + 3, 5);
+  EXPECT_TRUE(snapshot().empty());
+  reset();
 }
 
 TEST(HealthJson, RoundTripIsExact) {
-  auto& reg = Registry::global();
-  reg.reset();
+  reset();
   record_workload(0, 997);
-  const HealthSnapshot snap = reg.snapshot();
-  reg.reset();
+  const HealthSnapshot snap = snapshot();
+  reset();
   const runner::Json doc = health_json(snap);
   const HealthSnapshot back = health_from_json(doc);
   EXPECT_EQ(back, snap);
@@ -113,17 +110,16 @@ TEST(HealthJson, MergeEqualsSingleRecording) {
   // Two "shards" recording disjoint halves, merged as JSON documents,
   // must be byte-identical to one process recording the whole workload —
   // the campaign's cross-sweep health merge in miniature.
-  auto& reg = Registry::global();
-  reg.reset();
+  reset();
   record_workload(0, 1500);
-  const runner::Json shard_a = health_json(reg.snapshot());
-  reg.reset();
+  const runner::Json shard_a = health_json(snapshot());
+  reset();
   record_workload(1500, 3000);
-  const runner::Json shard_b = health_json(reg.snapshot());
-  reg.reset();
+  const runner::Json shard_b = health_json(snapshot());
+  reset();
   record_workload(0, 3000);
-  const std::string whole = health_json(reg.snapshot()).dump();
-  reg.reset();
+  const std::string whole = health_json(snapshot()).dump();
+  reset();
   EXPECT_EQ(merge_health_json({shard_a, shard_b}).dump(), whole);
   // Merge order must not matter.
   EXPECT_EQ(merge_health_json({shard_b, shard_a}).dump(), whole);

@@ -2,7 +2,7 @@
 // sidecars into one document (silence_campaign merges across sweeps).
 // Counters sum, gauges take the max, histograms merge bucket-wise with
 // mean/p50/p95/p99 recomputed from the combined buckets.
-#include "runner/sinks.h"
+#include "obs/metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,12 @@
 #include <stdexcept>
 #include <vector>
 
-#include "obs/metrics.h"
 #include "runner/json.h"
 
-namespace silence::runner {
+namespace silence::obs {
 namespace {
+
+using runner::Json;
 
 Json doc_with_counters(std::vector<std::pair<std::string, std::int64_t>> cs,
                        std::vector<std::pair<std::string, std::int64_t>> gs =
@@ -65,14 +66,13 @@ TEST(MetricsMerge, MissingSectionsAndEmptyInputTolerated) {
   EXPECT_EQ(empty.find("counters")->size(), 0u);
 }
 
-obs::HistogramSnapshot make_hist(const std::string& name,
+HistogramSnapshot make_hist(const std::string& name,
                                  std::vector<std::pair<std::size_t,
                                                        std::uint64_t>> fills,
                                  std::uint64_t min, std::uint64_t max,
                                  std::uint64_t sum) {
-  obs::HistogramSnapshot h;
+  HistogramSnapshot h;
   h.name = name;
-  h.buckets.assign(obs::kHistogramBuckets, 0);
   for (auto& [bucket, n] : fills) {
     h.buckets[bucket] += n;
     h.count += n;
@@ -88,18 +88,18 @@ TEST(MetricsMerge, HistogramMergeIsByteIdenticalToCombinedSnapshot) {
   // shards would have produced: merging the docs must reproduce the
   // combined document byte-for-byte — including mean/p50/p95/p99, which
   // metrics_json recomputes from the merged buckets.
-  obs::MetricsSnapshot a;
+  MetricsSnapshot a;
   a.counters.push_back({"runner.trials", 20});
   a.histograms.push_back(
       make_hist("runner.trial.ns", {{3, 10}, {5, 10}}, 9, 40, 400));
-  obs::MetricsSnapshot b;
+  MetricsSnapshot b;
   b.counters.push_back({"runner.trials", 20});
   // Trailing buckets beyond index 4 are zero here, so metrics_json trims
   // b's bucket array shorter than a's — the merge must still line the
   // arrays up by position.
   b.histograms.push_back(make_hist("runner.trial.ns", {{4, 20}}, 16, 31, 500));
 
-  obs::MetricsSnapshot combined;
+  MetricsSnapshot combined;
   combined.counters.push_back({"runner.trials", 40});
   combined.histograms.push_back(make_hist(
       "runner.trial.ns", {{3, 10}, {4, 20}, {5, 10}}, 9, 40, 900));
@@ -111,9 +111,9 @@ TEST(MetricsMerge, HistogramMergeIsByteIdenticalToCombinedSnapshot) {
 TEST(MetricsMerge, EmptyHistogramEntriesAreSkipped) {
   // A worker whose span never fired writes count=0; it must not clobber
   // the min/max of docs that did observe samples.
-  obs::MetricsSnapshot a;
+  MetricsSnapshot a;
   a.histograms.push_back(make_hist("h.ns", {{2, 4}}, 5, 7, 24));
-  obs::MetricsSnapshot b;
+  MetricsSnapshot b;
   b.histograms.push_back(make_hist("h.ns", {}, 0, 0, 0));
 
   const Json merged = merge_metrics_json({metrics_json(a), metrics_json(b)});
@@ -126,12 +126,12 @@ TEST(MetricsMerge, EmptyHistogramEntriesAreSkipped) {
 TEST(MetricsMerge, EmptySidecarMergeIsIdentity) {
   // Merging a real sidecar with a fully empty document (a sweep that
   // recorded nothing at all) must reproduce the real one byte-for-byte.
-  obs::MetricsSnapshot a;
+  MetricsSnapshot a;
   a.counters.push_back({"runner.trials", 12});
   a.gauges.push_back({"runner.threads", 4});
   a.histograms.push_back(make_hist("h.ns", {{1, 3}, {6, 9}}, 2, 100, 640));
   const Json doc = metrics_json(a);
-  const Json empty = metrics_json(obs::MetricsSnapshot{});
+  const Json empty = metrics_json(MetricsSnapshot{});
   EXPECT_EQ(merge_metrics_json({doc, empty}).dump_compact(),
             doc.dump_compact());
   EXPECT_EQ(merge_metrics_json({empty, doc}).dump_compact(),
@@ -156,7 +156,7 @@ TEST(MetricsMerge, RejectsHistogramWithTooManyBuckets) {
   entry.set("min", 1);
   entry.set("max", 4);
   Json buckets = Json::array();
-  for (std::size_t b = 0; b < obs::kHistogramBuckets + 1; ++b) {
+  for (std::size_t b = 0; b < kHistogramBuckets + 1; ++b) {
     buckets.push_back(1);
   }
   entry.set("buckets", std::move(buckets));
@@ -182,4 +182,4 @@ TEST(MetricsMerge, MalformedDocsAreRejected) {
 }
 
 }  // namespace
-}  // namespace silence::runner
+}  // namespace silence::obs

@@ -7,10 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "obs/health/health.h"
 
 namespace silence::obs {
 namespace {
@@ -163,7 +168,7 @@ std::string run_partitioned_workload(unsigned threads) {
   }
   for (auto& th : pool) th.join();
   reg.gauge_set(gid, static_cast<std::int64_t>(kTotal));
-  return metrics_to_json(reg.snapshot());
+  return metrics_json(reg.snapshot()).dump();
 }
 
 TEST_F(MetricsTest, MergeIsDeterministicAcrossThreadCounts) {
@@ -194,9 +199,74 @@ TEST_F(MetricsTest, ConcurrentWritersAllLand) {
             kThreads * kPerThread);
 }
 
+// The fixed tail against the named metrics. Exits 0 when every check
+// holds and names each failed one on stderr otherwise.
+void check_fixed_tail_is_disjoint() {
+  namespace health = obs::health;
+  auto& reg = Registry::global();
+  int failures = 0;
+  const auto check = [&failures](bool holds, const char* what) {
+    if (!holds) std::fprintf(stderr, "failed: %s\n", what);
+    failures += holds ? 0 : 1;
+  };
+
+  // One sample in every fixed cell, through the health functions.
+  for (std::size_t c = 0; c < kFixedCounters; ++c) {
+    health::count(static_cast<health::Counter>(c), 1);
+  }
+  for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
+    for (std::size_t w = 0; w < 3; ++w) {
+      health::waterfall(static_cast<health::Waterfall>(w), sc, 1);
+    }
+    health::score(health::Truth::kActive, sc, 1);
+    health::score(health::Truth::kSilent, sc, 1);
+  }
+  health::record_nabla_evm(1);
+  check(reg.snapshot().empty(), "fixed cells reached the named snapshot");
+  const FixedSnapshot fixed = reg.fixed_snapshot();
+  for (const std::uint64_t c : fixed.counters) check(c == 1, "shared counter");
+  for (const HistogramSnapshot& h : fixed.histograms) {
+    check(h.count == 1, "shared histogram");
+  }
+
+  // Named ids stop at the caps, just below the tail.
+  const health::HealthSnapshot before = health::snapshot();
+  std::uint32_t counter = 0, histogram = 0;
+  for (std::size_t i = 0; i < kMaxCounters; ++i) {
+    counter = reg.counter_id("fill." + std::to_string(i));
+  }
+  for (std::size_t i = 0; i < kMaxHistograms; ++i) {
+    histogram = reg.histogram_id("fill." + std::to_string(i));
+  }
+  for (const auto intern : {&Registry::counter_id, &Registry::histogram_id}) {
+    bool threw = false;
+    try {
+      (reg.*intern)("fill.over");
+    } catch (const std::length_error&) {
+      threw = true;
+    }
+    check(threw, "a name past the cap was interned");
+  }
+  reg.counter_add(counter, 1);
+  reg.histogram_record(histogram, 1);
+  check(health::snapshot() == before, "a named id wrote into the fixed tail");
+
+  reg.reset();
+  check(health::snapshot().empty(), "reset() left fixed cells behind");
+  std::exit(failures == 0 ? 0 : 1);
+}
+
+// Runs in a fresh process: the case fills both name tables, and names
+// outlive reset(), so here they would starve every later case that
+// interns one.
+TEST_F(MetricsTest, FixedTailIsDisjointFromNamedMetrics) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(check_fixed_tail_is_disjoint(), ::testing::ExitedWithCode(0),
+              "");
+}
+
 HistogramSnapshot histogram_of(const std::vector<std::uint64_t>& values) {
   HistogramSnapshot h;
-  h.buckets.assign(kHistogramBuckets, 0);
   for (const std::uint64_t v : values) {
     if (h.count == 0 || v < h.min) h.min = v;
     if (h.count == 0 || v > h.max) h.max = v;
@@ -247,6 +317,26 @@ TEST(HistogramQuantile, SplitsMassAcrossBuckets) {
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
   EXPECT_LE(p99, 1500.0);
+}
+
+TEST(HistogramSnapshotAdd, EmptyIsIdentityAndOrderDoesNotMatter) {
+  HistogramSnapshot a = histogram_of({3, 100, 9000});
+  a.name = "a";
+  const HistogramSnapshot b = histogram_of({5, 7, 7, 12000});
+  HistogramSnapshot sum = a;
+  sum += histogram_of({});
+  EXPECT_EQ(sum, a);
+
+  // min, max, count, sum and buckets combine; the left name is kept.
+  sum += b;
+  HistogramSnapshot expected = histogram_of({3, 100, 9000, 5, 7, 7, 12000});
+  expected.name = "a";
+  EXPECT_EQ(sum, expected);
+  HistogramSnapshot reversed = histogram_of({});
+  reversed += b;
+  reversed += a;
+  reversed.name = "a";
+  EXPECT_EQ(reversed, sum);
 }
 
 }  // namespace

@@ -73,10 +73,10 @@ TEST(ObsOffTest, HealthMacrosCompileOutAndDoNotEvaluate) {
   HEALTH_SCORE(++evaluations != 0, ++evaluations, ++evaluations);
   HEALTH_NABLA_EVM(++evaluations);
   EXPECT_EQ(evaluations, 0);
-  // The health registry runtime still links (the runner's sidecar
-  // plumbing calls it unconditionally) but stays empty, so no
+  // The health runtime still links (the runner's sidecar plumbing
+  // calls it unconditionally) but its cells stay empty, so no
   // .health.json is ever written in an OFF build.
-  EXPECT_TRUE(health::Registry::global().snapshot().empty());
+  EXPECT_TRUE(health::snapshot().empty());
   // Pure helpers keep working — tooling parses sidecars in OFF builds.
   EXPECT_EQ(health::quantize(0.5, 256.0), 128u);
   EXPECT_GE(health::quantize_score(2.0, 1.0), health::kScoreThreshold);

@@ -97,13 +97,13 @@ TEST(CosTrial, CountDetectionMatchesTrialConfusionCounts) {
 
 #if SILENCE_OBS_ON
 TEST(CosTrialHealth, ScoreHistogramsReproduceConfusionCountsExactly) {
-  // The tentpole exactness contract: the health registry's per-truth
+  // The exactness contract: the health cells' per-truth
   // score histograms and confusion counters, filled from the same score
   // walk the detector performed, must reproduce the mask-derived
   // DetectionCounts bit-for-bit — the quantization clamps the decision
   // into the score, so the bucket boundary at 256 IS the threshold.
   namespace health = obs::health;
-  auto& reg = health::Registry::global();
+  auto& reg = obs::Registry::global();
   reg.reset();
 
   const CosTrialSpec spec = test_spec();
@@ -111,7 +111,7 @@ TEST(CosTrialHealth, ScoreHistogramsReproduceConfusionCountsExactly) {
   for (std::uint64_t seed = 100; seed < 130; ++seed) {
     totals += run_cos_trial_recorded(spec, seed).detection;
   }
-  const health::HealthSnapshot snap = reg.snapshot();
+  const health::HealthSnapshot snap = health::snapshot();
   reg.reset();
 
   const auto counter = [&snap](health::Counter c) {
@@ -129,9 +129,9 @@ TEST(CosTrialHealth, ScoreHistogramsReproduceConfusionCountsExactly) {
   std::uint64_t silent_total = 0, silent_below = 0;
   std::uint64_t active_total = 0, active_below = 0;
   for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
-    const health::HealthHist& s =
+    const obs::HistogramSnapshot& s =
         snap.scores[static_cast<std::size_t>(health::Truth::kSilent)][sc];
-    const health::HealthHist& a =
+    const obs::HistogramSnapshot& a =
         snap.scores[static_cast<std::size_t>(health::Truth::kActive)][sc];
     silent_total += s.count;
     active_total += a.count;

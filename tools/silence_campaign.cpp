@@ -23,7 +23,7 @@
 // does the parallel work. A sweep that exits nonzero fails the whole
 // campaign. Afterwards the dashboard aggregates across sweeps: counters
 // summed, gauges maxed, histograms merged bucket-wise with p50/p95/p99
-// recomputed from the combined buckets (runner::merge_metrics_json),
+// recomputed from the combined buckets (obs::merge_metrics_json),
 // plus per-sweep wall-clock/trial totals from the .timing.json sidecars
 // and an exact integer merge of the .health.json PHY-health sidecars.
 //
@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "obs/health/health.h"
+#include "obs/metrics.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -241,7 +242,7 @@ int main(int argc, char** argv) {
   // with quantiles recomputed — one place to see the whole campaign's
   // pipeline counters.
   if (!metric_docs.empty()) {
-    dashboard.set("metrics", silence::runner::merge_metrics_json(metric_docs));
+    dashboard.set("metrics", silence::obs::merge_metrics_json(metric_docs));
   }
   // PHY signal-health rollup: the .health.json documents are integer-only
   // snapshots, so summing them across sweeps is exact — the campaign view

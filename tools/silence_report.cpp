@@ -26,9 +26,17 @@
 // stem + ".report", i.e. results/net_scenarios.json ->
 // results/net_scenarios.report.{md,json}.
 //
-// Exit status: 0 = report written, 2 = usage error, unreadable result,
-// or a missing/unparseable explicitly requested input.
+// PHY health adds an exact empirical ROC (each power-of-two score
+// threshold is a bucket boundary) and a per-subcarrier table, and checks
+// the truth-silent and truth-active totals, misses and false alarms at
+// the configured threshold (score 256) against the confusion counters.
+//
+// Exit status: 0 = report written; 1 = report written, but the health
+// sidecar's score histograms disagree with its confusion counters (each
+// mismatch is named on stderr); 2 = usage error, unreadable result, or
+// a missing/unparseable explicitly requested input.
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -57,7 +65,8 @@ int usage(const char* argv0, int code) {
                "  BASE.md + BASE.json (default BASE: result stem +\n"
                "  '.report'). Sidecars are auto-discovered next to the\n"
                "  result; naming one explicitly makes it required\n"
-               "  (missing or unparseable => exit 2).\n",
+               "  (missing or unparseable => exit 2). Exit 1: the health\n"
+               "  sidecar's ROC disagrees with its confusion counters.\n",
                argv0);
   return code;
 }
@@ -262,65 +271,62 @@ void md_results_table(std::string& md, const Json& result) {
 // ---------------------------------------------------------------------
 // PHY health: .health.json sidecar rollup (obs/health).
 
-// Cells the detector declared silent: scores are decision-clamped below
-// kScoreThreshold (= 256 = 2^8), and buckets 0..8 hold exactly the
-// values 0..255, so the bucket sum is exact, not an estimate.
-std::uint64_t declared_silent(const health::HealthHist& h) {
-  const std::size_t boundary =
-      silence::obs::histogram_bucket(health::kScoreThreshold - 1);
+using silence::obs::HistogramSnapshot;
+using HealthRow = std::array<HistogramSnapshot, health::kSubcarriers>;
+
+// rows[e] for a health enum (waterfall kind or ground truth).
+template <typename Rows, typename Enum>
+const HealthRow& row(const Rows& rows, Enum e) {
+  return rows[static_cast<std::size_t>(e)];
+}
+
+double rate(std::uint64_t n, std::uint64_t total) {
+  return total == 0 ? 0.0
+                    : static_cast<double>(n) / static_cast<double>(total);
+}
+
+// Buckets 0..b summed over the band: bucket b ends at 2^b, so this is the
+// exact number of scores below 2^b, not an estimate.
+std::uint64_t band_below(const HealthRow& cells, std::size_t b) {
   std::uint64_t n = 0;
-  for (std::size_t b = 0; b <= boundary; ++b) n += h.buckets[b];
+  for (const HistogramSnapshot& h : cells) {
+    for (std::size_t i = 0; i <= b; ++i) n += h.buckets[i];
+  }
   return n;
 }
 
-// Whole-band rollup of one waterfall kind (or one truth's score row).
-struct BandSummary {
-  std::uint64_t active_cells = 0;  // subcarriers with >= 1 sample
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = 0;
-  std::uint64_t max = 0;
-
-  void add(const health::HealthHist& h) {
-    if (h.count == 0) return;
-    if (active_cells == 0 || h.min < min) min = h.min;
-    if (active_cells == 0 || h.max > max) max = h.max;
-    ++active_cells;
-    count += h.count;
-    sum += h.sum;
-  }
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-};
-
-BandSummary band_summary(
-    const std::array<health::HealthHist, health::kSubcarriers>& row) {
-  BandSummary out;
-  for (const health::HealthHist& h : row) out.add(h);
-  return out;
+std::uint64_t band_count(const HealthRow& cells) {
+  std::uint64_t n = 0;
+  for (const HistogramSnapshot& h : cells) n += h.count;
+  return n;
 }
 
-// The detector operating point at the configured threshold, computed two
-// independent ways: from the confusion counters and from the per-truth
-// score histograms. The quantization makes them equal by construction;
-// `consistent` is the cross-check.
+// The detector operating point at the configured threshold (score 256),
+// computed two independent ways: from the confusion counters and from
+// the per-truth score histograms. The quantization makes them equal by
+// construction; checks() pairs them up, and a failed check makes
+// silence_report exit 1.
 struct OperatingPoint {
   std::uint64_t truth_silent = 0, truth_active = 0;
   std::uint64_t misses = 0, false_alarms = 0;
+  std::uint64_t hist_silent = 0, hist_active = 0;
   std::uint64_t hist_misses = 0, hist_false_alarms = 0;
-  bool consistent = false;
 
-  double miss_rate() const {
-    return truth_silent == 0 ? 0.0
-                             : static_cast<double>(misses) /
-                                   static_cast<double>(truth_silent);
+  struct Check {
+    const char* what;
+    std::uint64_t histogram, counter;
+  };
+  std::array<Check, 4> checks() const {
+    return {{{"truth-silent cells", hist_silent, truth_silent},
+             {"truth-active cells", hist_active, truth_active},
+             {"misses @256", hist_misses, misses},
+             {"false alarms @256", hist_false_alarms, false_alarms}}};
   }
-  double false_alarm_rate() const {
-    return truth_active == 0 ? 0.0
-                             : static_cast<double>(false_alarms) /
-                                   static_cast<double>(truth_active);
+  bool consistent() const {
+    for (const Check& c : checks()) {
+      if (c.histogram != c.counter) return false;
+    }
+    return true;
   }
 };
 
@@ -333,22 +339,70 @@ OperatingPoint operating_point(const health::HealthSnapshot& h) {
   out.truth_active = counter(health::Counter::kTruthActive);
   out.misses = counter(health::Counter::kMisses);
   out.false_alarms = counter(health::Counter::kFalseAlarms);
-  std::uint64_t silent_total = 0, silent_detected = 0, active_silent = 0;
-  const auto& silent =
-      h.scores[static_cast<std::size_t>(health::Truth::kSilent)];
-  const auto& active =
-      h.scores[static_cast<std::size_t>(health::Truth::kActive)];
-  for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
-    silent_total += silent[sc].count;
-    silent_detected += declared_silent(silent[sc]);
-    active_silent += declared_silent(active[sc]);
-  }
-  out.hist_misses = silent_total - silent_detected;
-  out.hist_false_alarms = active_silent;
-  out.consistent = out.hist_misses == out.misses &&
-                   out.hist_false_alarms == out.false_alarms &&
-                   silent_total == out.truth_silent;
+  const std::size_t boundary =
+      silence::obs::histogram_bucket(health::kScoreThreshold - 1);
+  const HealthRow& silent = row(h.scores, health::Truth::kSilent);
+  const HealthRow& active = row(h.scores, health::Truth::kActive);
+  out.hist_silent = band_count(silent);
+  out.hist_active = band_count(active);
+  out.hist_misses = out.hist_silent - band_below(silent, boundary);
+  out.hist_false_alarms = band_below(active, boundary);
   return out;
+}
+
+// The exact empirical ROC, one row per power-of-two score threshold.
+void md_roc_table(std::string& md, const health::HealthSnapshot& h) {
+  const HealthRow& silent = row(h.scores, health::Truth::kSilent);
+  const HealthRow& active = row(h.scores, health::Truth::kActive);
+  const std::uint64_t silent_total = band_count(silent);
+  const std::uint64_t active_total = band_count(active);
+  md += "\n### Empirical ROC\n\n"
+        "Exact bucket sums at power-of-two score thresholds (score "
+        "256 = the configured detector threshold).\n\n"
+        "| threshold (x256) | misses | miss rate | false alarms | "
+        "false-alarm rate |\n| --- | --- | --- | --- | --- |\n";
+  // Row b is the operating point "declare silent when score < 2^b"; the
+  // table ends at the first threshold every score falls below.
+  for (std::size_t b = 0; b < silence::obs::kHistogramBuckets; ++b) {
+    const std::uint64_t silent_below = band_below(silent, b);
+    const std::uint64_t misses = silent_total - silent_below;
+    const std::uint64_t false_alarms = band_below(active, b);
+    const std::uint64_t threshold = std::uint64_t{1} << b;
+    md += "| " + std::to_string(threshold) +
+          (threshold == health::kScoreThreshold ? " (configured)" : "") +
+          " | " + std::to_string(misses) + " | " +
+          fmt(rate(misses, silent_total)) + " | " +
+          std::to_string(false_alarms) + " | " +
+          fmt(rate(false_alarms, active_total)) + " |\n";
+    if (silent_below == silent_total && false_alarms == active_total) break;
+  }
+}
+
+// Per-subcarrier means in physical units plus the labelled score counts.
+void md_subcarrier_table(std::string& md, const health::HealthSnapshot& h) {
+  md += "\n### Per-subcarrier waterfalls\n\n"
+        "Means in physical units (SNR linear, EVM rms fraction, |H| "
+        "magnitude); `-` = no samples.\n\n"
+        "| sc | SNR n | SNR mean | EVM n | EVM mean | \\|H\\| n | "
+        "\\|H\\| mean | silent n | active n |\n"
+        "| --- | --- | --- | --- | --- | --- | --- | --- | --- |\n";
+  const HealthRow& snr = row(h.waterfalls, health::Waterfall::kSnr);
+  const HealthRow& evm = row(h.waterfalls, health::Waterfall::kEvm);
+  const HealthRow& mag = row(h.waterfalls, health::Waterfall::kChanMag);
+  const HealthRow& silent = row(h.scores, health::Truth::kSilent);
+  const HealthRow& active = row(h.scores, health::Truth::kActive);
+  const auto cell = [](const HistogramSnapshot& hist, double scale) {
+    return std::to_string(hist.count) + " | " +
+           (hist.count == 0 ? std::string("-") : fmt(hist.mean() / scale));
+  };
+  for (std::size_t sc = 0; sc < health::kSubcarriers; ++sc) {
+    md += "| " + std::to_string(sc) + " | " +
+          cell(snr[sc], health::kSnrScale) + " | " +
+          cell(evm[sc], health::kEvmScale) + " | " +
+          cell(mag[sc], health::kChanScale) + " | " +
+          std::to_string(silent[sc].count) + " | " +
+          std::to_string(active[sc].count) + " |\n";
+  }
 }
 
 void md_health_section(std::string& md, const health::HealthSnapshot& h) {
@@ -398,7 +452,8 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
     md += line;
   }
 
-  // Waterfalls, scaled back to physical units.
+  // Waterfalls, scaled back to physical units. Labels are markdown
+  // table cells, so `|` is escaped.
   md += "\n| waterfall | subcarriers | samples | mean | min | max |\n"
         "| --- | --- | --- | --- | --- | --- |\n";
   static constexpr struct {
@@ -408,18 +463,21 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
   } kKinds[] = {
       {health::Waterfall::kSnr, "bin SNR (linear)", health::kSnrScale},
       {health::Waterfall::kEvm, "EVM", health::kEvmScale},
-      {health::Waterfall::kChanMag, "|H|", health::kChanScale},
+      {health::Waterfall::kChanMag, "\\|H\\|", health::kChanScale},
   };
   for (const auto& kind : kKinds) {
-    const BandSummary band =
-        band_summary(h.waterfalls[static_cast<std::size_t>(kind.kind)]);
+    std::size_t cells = 0;  // subcarriers with >= 1 sample
+    HistogramSnapshot band;
+    for (const HistogramSnapshot& sc : row(h.waterfalls, kind.kind)) {
+      cells += sc.count > 0;
+      band += sc;
+    }
     if (band.count == 0) {
       md += std::string("| ") + kind.label + " | 0 | 0 | - | - | - |\n";
       continue;
     }
-    md += std::string("| ") + kind.label + " | " +
-          std::to_string(band.active_cells) + " | " +
-          std::to_string(band.count) + " | " +
+    md += std::string("| ") + kind.label + " | " + std::to_string(cells) +
+          " | " + std::to_string(band.count) + " | " +
           fmt(band.mean() / kind.scale) + " | " +
           fmt(static_cast<double>(band.min) / kind.scale) + " | " +
           fmt(static_cast<double>(band.max) / kind.scale) + " |\n";
@@ -427,23 +485,26 @@ void md_health_section(std::string& md, const health::HealthSnapshot& h) {
 
   // Detector operating point at the configured threshold (score 256).
   const OperatingPoint op = operating_point(h);
-  if (op.truth_silent + op.truth_active > 0) {
+  if (op.truth_silent + op.truth_active + op.hist_silent + op.hist_active >
+      0) {
     std::snprintf(
         line, sizeof(line),
         "\nDetector @ configured threshold: %llu silent cell(s) "
         "(miss rate %s), %llu active cell(s) (false-alarm rate %s)\n",
         static_cast<unsigned long long>(op.truth_silent),
-        fmt(op.miss_rate()).c_str(),
+        fmt(rate(op.misses, op.truth_silent)).c_str(),
         static_cast<unsigned long long>(op.truth_active),
-        fmt(op.false_alarm_rate()).c_str());
+        fmt(rate(op.false_alarms, op.truth_active)).c_str());
     md += line;
-    md += op.consistent
+    md += op.consistent()
               ? "ROC histogram vs confusion counters: consistent\n"
               : "ROC histogram vs confusion counters: **MISMATCH**\n";
+    md_roc_table(md, h);
   } else {
     md += "\nDetector: no ground-truth labelled scores (network runs "
           "don't label; see fig10)\n";
   }
+  md_subcarrier_table(md, h);
 }
 
 }  // namespace
@@ -679,9 +740,9 @@ int main(int argc, char** argv) {
     roc.set("truth_active", static_cast<std::int64_t>(op.truth_active));
     roc.set("misses", static_cast<std::int64_t>(op.misses));
     roc.set("false_alarms", static_cast<std::int64_t>(op.false_alarms));
-    roc.set("miss_rate", op.miss_rate());
-    roc.set("false_alarm_rate", op.false_alarm_rate());
-    roc.set("histogram_consistent", op.consistent);
+    roc.set("miss_rate", rate(op.misses, op.truth_silent));
+    roc.set("false_alarm_rate", rate(op.false_alarms, op.truth_active));
+    roc.set("histogram_consistent", op.consistent());
     report.set("detector_operating_point", std::move(roc));
   }
   if (!trace_path.empty() && trace.loaded) {
@@ -723,5 +784,16 @@ int main(int argc, char** argv) {
   }
   std::printf("report written to %s and %s\n", md_path.c_str(),
               json_path.c_str());
-  return 0;
+
+  // The health gate: the score histograms must reproduce the confusion
+  // counters exactly (see OperatingPoint).
+  if (!have_health) return 0;
+  const OperatingPoint op = operating_point(health_snapshot);
+  for (const OperatingPoint::Check& c : op.checks()) {
+    if (c.histogram == c.counter) continue;
+    std::fprintf(stderr, "%s: health: %s: histogram %llu != counter %llu\n",
+                 argv[0], c.what, static_cast<unsigned long long>(c.histogram),
+                 static_cast<unsigned long long>(c.counter));
+  }
+  return op.consistent() ? 0 : 1;
 }
