@@ -3,12 +3,12 @@
 //
 // Scenario: an AP runs a saturated downlink while coordinating uplink
 // transmissions from N stations. Three designs are compared (see
-// mac/coordination.h): plain DCF contention, explicit poll frames, and
+// net/coordination.h): plain DCF contention, explicit poll frames, and
 // CoS grants riding inside downlink data packets.
 #include <cstdio>
 
 #include "bench_util.h"
-#include "mac/coordination.h"
+#include "net/coordination.h"
 
 using namespace silence;
 

@@ -52,25 +52,8 @@ runner::Json Scenario::to_json() const {
 
 Scenario Scenario::from_json(const runner::Json& json) {
   Scenario sc;
-  if (json.find("topology") != nullptr) {
-    sc.topology = Topology::from_json(require(json, "topology"));
-    sc.traffic = TrafficModel::from_json(require(json, "traffic"));
-  } else if (json.find("num_stations") != nullptr) {
-    // Compatibility shim: the pre-topology flat single-AP schema. Maps
-    // onto the equivalent one-BSS saturated-traffic scenario — default
-    // channel, full carrier sensing, default OBSS knobs (all inert on a
-    // single BSS) — so archived scenario files keep replaying.
-    Topology topo;
-    topo.bss.resize(1);
-    topo.bss[0].num_stations =
-        static_cast<int>(require(json, "num_stations").as_int());
-    topo.bss[0].snr_db_near = require(json, "snr_db_near").as_double();
-    topo.bss[0].snr_db_far = require(json, "snr_db_far").as_double();
-    sc.topology = topo;
-    sc.traffic = TrafficModel{};  // legacy runs are saturated closed-loop
-  } else {
-    throw std::runtime_error("net::Scenario: missing field 'topology'");
-  }
+  sc.topology = Topology::from_json(require(json, "topology"));
+  sc.traffic = TrafficModel::from_json(require(json, "traffic"));
   sc.mpdu_octets =
       static_cast<std::size_t>(require(json, "mpdu_octets").as_int());
   sc.max_mpdus_per_frame =

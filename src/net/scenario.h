@@ -24,7 +24,6 @@
 
 #include "channel/fading.h"
 #include "core/cos_profile.h"
-#include "mac/contention.h"  // AirtimeBreakdown
 #include "net/topology.h"
 #include "runner/json.h"
 
@@ -36,10 +35,7 @@ namespace silence::net {
 //
 // The geometry (APs, channels, station SNR placement, carrier sensing)
 // lives in `topology`, the offered load in `traffic` (net/topology.h);
-// the remaining fields are the shared MAC/PHY/CoS knobs. Legacy flat
-// single-AP scenario JSONs (a top-level "num_stations" instead of
-// "topology") still parse via a compatibility shim in from_json() and
-// map onto the equivalent one-BSS saturated scenario.
+// the remaining fields are the shared MAC/PHY/CoS knobs.
 struct Scenario {
   Topology topology;
   TrafficModel traffic;
@@ -72,12 +68,25 @@ struct Scenario {
 
   int num_stations() const { return topology.total_stations(); }
 
-  // Strict-JSON round trip: from_json(to_json(s)) == s. from_json also
-  // accepts the legacy flat single-AP schema (see above).
+  // Strict-JSON round trip: from_json(to_json(s)) == s.
   runner::Json to_json() const;
   static Scenario from_json(const runner::Json& json);
 
   friend bool operator==(const Scenario&, const Scenario&) = default;
+};
+
+// Where a run's medium time went. The five shares partition the elapsed
+// time of a single-BSS run.
+struct AirtimeBreakdown {
+  double data_us = 0.0;
+  double ack_us = 0.0;
+  double control_us = 0.0;  // explicit control frames (none under DCF)
+  double idle_us = 0.0;     // backoff slots + DIFS/SIFS gaps
+  double collision_us = 0.0;
+
+  double total_us() const {
+    return data_us + ack_us + control_us + idle_us + collision_us;
+  }
 };
 
 // Fixed-bucket histogram of slot-time latencies, carried inside the

@@ -69,7 +69,7 @@ class Station {
   // Airtime its next PPDU would occupy, at the rate the session would
   // pick right now (which reads the link's measured SNR unless the rate
   // is fixed). Collisions are charged this much medium time without
-  // running the PHY (matching mac/contention.cpp).
+  // running the PHY.
   double nominal_airtime_us() const;
 
   // Advances the fading process by `seconds` of medium time this

@@ -1,8 +1,7 @@
 // The event-driven network engine (net/engine.h): legacy byte-identity
 // pinned against outputs captured from the slotted loop this engine
-// replaced, the stateful NetSim stepping API, the compat shim for flat
-// pre-topology scenario JSON, and the new multi-BSS physics — OBSS
-// interference, hidden terminals and open-loop traffic.
+// replaced, the stateful NetSim stepping API, and the multi-BSS
+// physics — OBSS interference, hidden terminals and open-loop traffic.
 #include "net/engine.h"
 
 #include <gtest/gtest.h>
@@ -171,35 +170,6 @@ TEST(NetEngine, LazyFadingMatchesEagerGoldenHiddenPoissonTwoBss) {
   EXPECT_GT(steps->value, 0u);
   obs::Registry::global().reset();
 #endif
-}
-
-// The flat pre-topology scenario schema must keep parsing through the
-// compat shim AND replay through the event engine to the same legacy
-// bytes. The nested cos_profile/profile sub-objects are unchanged
-// between schemas, so the flat document is assembled from the current
-// serializer's pieces.
-TEST(NetEngine, LegacyFlatScenarioJsonParsesAndReplays) {
-  const Scenario sc = golden_scenario_8sta();
-  const runner::Json v2 = sc.to_json();
-  runner::Json flat = runner::Json::object();
-  flat.set("num_stations", 8);
-  flat.set("mpdu_octets", *v2.find("mpdu_octets"));
-  flat.set("max_mpdus_per_frame", *v2.find("max_mpdus_per_frame"));
-  flat.set("duration_us", *v2.find("duration_us"));
-  flat.set("snr_db_near", 21.5);
-  flat.set("snr_db_far", 9.25);
-  flat.set("control_bits_per_frame", *v2.find("control_bits_per_frame"));
-  flat.set("cos_profile", *v2.find("cos_profile"));
-  flat.set("profile", *v2.find("profile"));
-  flat.set("fixed_rate_mbps", *v2.find("fixed_rate_mbps"));
-  flat.set("use_selection_feedback", *v2.find("use_selection_feedback"));
-  flat.set("metrics_station_cap", *v2.find("metrics_station_cap"));
-
-  const Scenario parsed =
-      Scenario::from_json(runner::Json::parse(flat.dump_compact()));
-  EXPECT_EQ(parsed, sc);  // shim maps onto the one-BSS saturated topology
-  EXPECT_TRUE(parsed.traffic.saturated());
-  EXPECT_EQ(legacy_view(run_scenario(parsed, 11)), kGolden8Sta);
 }
 
 TEST(NetEngine, StepUntilReachesTheSameResultAsRun) {

@@ -128,30 +128,38 @@ TEST(RunScenario, DeliversDataAndFreeControlBits) {
 
 // MAC scheduler invariants under the net/ scheduler: every contention
 // round resolves to exactly one transmitter or a collision of >= 2
-// stations, and the accounted airtime partitions the elapsed time.
+// stations, and the accounted airtime partitions the elapsed time. A
+// lone station has nobody to collide with.
 TEST(RunScenario, SchedulerInvariantsHold) {
-  const Scenario sc = test_scenario(8);
-  const NetResult r = run_scenario(sc, 11);
+  for (const int n : {1, 8}) {
+    SCOPED_TRACE(n);
+    const NetResult r = run_scenario(test_scenario(n), 11);
 
-  ASSERT_EQ(r.stations.size(), 8u);
-  EXPECT_EQ(r.tx_rounds + r.collision_rounds, r.contention_rounds);
+    ASSERT_EQ(r.stations.size(), static_cast<std::size_t>(n));
+    EXPECT_EQ(r.tx_rounds + r.collision_rounds, r.contention_rounds);
 
-  // No two winners per slot: each tx round has exactly one transmitter.
-  std::size_t sta_tx = 0, sta_collisions = 0;
-  for (const StaStats& s : r.stations) {
-    sta_tx += s.tx_rounds;
-    sta_collisions += s.collisions;
+    // No two winners per slot: each tx round has exactly one transmitter.
+    std::size_t sta_tx = 0, sta_collisions = 0;
+    for (const StaStats& s : r.stations) {
+      sta_tx += s.tx_rounds;
+      sta_collisions += s.collisions;
+    }
+    EXPECT_EQ(sta_tx, r.tx_rounds);
+    // Every collision round involved at least two stations.
+    EXPECT_GE(sta_collisions, 2 * r.collision_rounds);
+    if (n == 1) {
+      EXPECT_GT(r.tx_rounds, 0u);
+      EXPECT_EQ(r.collision_rounds, 0u);
+      EXPECT_EQ(r.airtime.collision_us, 0.0);
+    }
+
+    // Airtime accounting: the breakdown partitions the elapsed time, and
+    // the data share is exactly the per-station PPDU airtimes.
+    EXPECT_NEAR(r.airtime.total_us(), r.elapsed_us, 1e-6 * r.elapsed_us);
+    double sta_air = 0.0;
+    for (const StaStats& s : r.stations) sta_air += s.data_airtime_us;
+    EXPECT_NEAR(sta_air, r.airtime.data_us, 1e-9 * r.airtime.data_us + 1e-9);
   }
-  EXPECT_EQ(sta_tx, r.tx_rounds);
-  // Every collision round involved at least two stations.
-  EXPECT_GE(sta_collisions, 2 * r.collision_rounds);
-
-  // Airtime accounting: the breakdown partitions the elapsed time, and
-  // the data share is exactly the per-station PPDU airtimes.
-  EXPECT_NEAR(r.airtime.total_us(), r.elapsed_us, 1e-6 * r.elapsed_us);
-  double sta_air = 0.0;
-  for (const StaStats& s : r.stations) sta_air += s.data_airtime_us;
-  EXPECT_NEAR(sta_air, r.airtime.data_us, 1e-9 * r.airtime.data_us + 1e-9);
 }
 
 // Aggregation airtime accounting: with a fixed rate every PPDU is the
