@@ -59,8 +59,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
         "  --trials N    Monte-Carlo trials per sweep point\n"
         "  --seed S      base seed for deterministic trial seeding\n"
         "  --json [PATH] also write results/%s.json (or PATH) plus\n"
-        "                .timing.json, .metrics.json and .health.json\n"
-        "                sidecars\n"
+        "                its .obs.json sidecar (timing, metrics, health)\n"
         "  --trace FILE  write a Chrome/Perfetto trace (spans for every\n"
         "                PHY/CoS stage + embedded metrics snapshot)\n"
         "  --flight-dir DIR    arm the flight recorder: anomalous trials\n"

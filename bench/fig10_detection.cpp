@@ -145,8 +145,8 @@ runner::SweepReport part_b(const bench::BenchArgs& args) {
   report.wall_seconds = outcome.wall_seconds;
   report.trials_run = outcome.trials_run;
   // Raw confusion totals (summed over every point) ride in the grid
-  // metadata so the .health.json detector counters can be cross-checked
-  // against the sweep's own tallies, count for count.
+  // metadata so the sidecar's health detector counters can be
+  // cross-checked against the sweep's own tallies, count for count.
   DetectionCounts totals;
   for (std::size_t i = 0; i < grid.points.size(); ++i) {
     const DetectionCounts& counts = outcome.point_results[i];

@@ -292,7 +292,7 @@ int main(int argc, char** argv) {
       "control-frame component. Fairness decays as far stations at low",
       "SNR lose airtime share to collisions and slow rates. hol_p* are",
       "head-of-line wait percentiles in 9 us slots, merged over stations",
-      "(per-station distributions live in the .metrics.json sidecar)."};
+      "(per-station distributions live in the .obs.json sidecar)."};
 
   runner::TableSink table;
   table.write(report);
@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
         static_cast<double>(total_events) / outcome.wall_seconds,
         1e-6 * total_sim_us / outcome.wall_seconds);
   }
-  // The main file now; its sidecars once the OBSS reference point below
-  // has run too, so they cover every trial of the run.
+  // The main file now; its sidecar once the OBSS reference point below
+  // has run too, so it covers every trial of the run.
   if (args.json) {
     runner::write_json_file(args.json_path, runner::JsonSink::payload(report));
   }

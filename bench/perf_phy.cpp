@@ -34,6 +34,7 @@
 #include "common/rng_kernels.h"
 #include "core/cos_link.h"
 #include "dsp/fft_kernels.h"
+#include "obs/metrics.h"  // the registry snapshot, also under SILENCE_OBS=OFF
 #include "obs/obs.h"
 #include "phy/convolutional.h"
 #include "phy/receiver.h"

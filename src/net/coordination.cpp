@@ -49,7 +49,7 @@ CoordinationResult run_dcf_baseline(const CoordinationConfig& config,
   cell.num_stations = config.num_stations + 1;
   cell.snr_db_near = config.measured_snr_db;
   cell.snr_db_far = config.measured_snr_db;
-  scenario.mpdu_octets = config.downlink_octets;
+  scenario.mpdu_octets = config.frame_octets;
   scenario.max_mpdus_per_frame = 1;
   scenario.control_bits_per_frame = 0;
   scenario.fixed_rate_mbps = mcs.data_rate_mbps;
@@ -114,10 +114,8 @@ CoordinationResult run_coordination(const CoordinationConfig& config) {
   CoordinationResult result;
   double now_us = 0.0;
   int round_robin = 0;
-  const double down_us =
-      psdu_airtime_us(config.downlink_octets + kMacOverheadOctets, mcs);
-  const double up_us =
-      psdu_airtime_us(config.uplink_octets + kMacOverheadOctets, mcs);
+  const double frame_us =
+      psdu_airtime_us(config.frame_octets + kMacOverheadOctets, mcs);
 
   while (now_us < config.duration_us) {
     const int grantee = round_robin;
@@ -133,7 +131,7 @@ CoordinationResult run_coordination(const CoordinationConfig& config) {
     down_frame.type = FrameType::kData;
     down_frame.src = 0;
     down_frame.dst = static_cast<std::uint8_t>(grantee + 1);
-    down_frame.payload = rng.bytes(config.downlink_octets);
+    down_frame.payload = rng.bytes(config.frame_octets);
     const Bytes down_psdu = serialize_frame(down_frame);
 
     bool downlink_ok = false;
@@ -151,14 +149,14 @@ CoordinationResult run_coordination(const CoordinationConfig& config) {
       const CxVec samples = frame_to_samples(build_frame(down_psdu, mcs));
       const RxPacket packet =
           receive_packet(station.downlink->send(samples));
-      station.downlink->advance(1e-6 * down_us);
+      station.downlink->advance(1e-6 * frame_us);
       downlink_ok = packet.ok;
     }
-    now_us += down_us + kSifsUs + ack_airtime_us();
-    result.airtime.data_us += down_us;
+    now_us += frame_us + kSifsUs + ack_airtime_us();
+    result.airtime.data_us += frame_us;
     result.airtime.ack_us += ack_airtime_us();
     result.airtime.idle_us += kSifsUs;
-    if (downlink_ok) result.downlink_bits += 8 * config.downlink_octets;
+    if (downlink_ok) result.downlink_bits += 8 * config.frame_octets;
 
     // --- coordination step ---
     if (config.mode == CoordinationMode::kExplicitPoll) {
@@ -175,17 +173,17 @@ CoordinationResult run_coordination(const CoordinationConfig& config) {
       up_frame.type = FrameType::kData;
       up_frame.src = static_cast<std::uint8_t>(grantee + 1);
       up_frame.dst = 0;
-      up_frame.payload = rng.bytes(config.uplink_octets);
+      up_frame.payload = rng.bytes(config.frame_octets);
       const Bytes up_psdu = serialize_frame(up_frame);
       const CxVec samples = frame_to_samples(build_frame(up_psdu, mcs));
       const RxPacket packet = receive_packet(station.uplink->send(samples));
-      station.uplink->advance(1e-6 * up_us);
+      station.uplink->advance(1e-6 * frame_us);
 
-      now_us += kSifsUs + up_us + kSifsUs + ack_airtime_us();
+      now_us += kSifsUs + frame_us + kSifsUs + ack_airtime_us();
       result.airtime.idle_us += 2.0 * kSifsUs;
-      result.airtime.data_us += up_us;
+      result.airtime.data_us += frame_us;
       result.airtime.ack_us += ack_airtime_us();
-      if (packet.ok) result.uplink_bits += 8 * config.uplink_octets;
+      if (packet.ok) result.uplink_bits += 8 * config.frame_octets;
     } else {
       ++result.grants_lost;
     }

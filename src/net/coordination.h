@@ -32,8 +32,9 @@ enum class CoordinationMode { kDcfContention, kExplicitPoll, kCosGrant };
 struct CoordinationConfig {
   CoordinationMode mode = CoordinationMode::kCosGrant;
   int num_stations = 4;  // 1..kMaxCoordinatedStations
-  std::size_t downlink_octets = 1024;
-  std::size_t uplink_octets = 1024;
+  // Payload octets of every data frame, downlink and uplink alike, so
+  // the DCF baseline carries the same frames as the poll and grant modes.
+  std::size_t frame_octets = 1024;
   double duration_us = 200e3;
   double measured_snr_db = 18.0;
   std::uint64_t seed = 1;

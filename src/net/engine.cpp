@@ -96,11 +96,7 @@ void NetSim::init(const Scenario& scenario, std::uint64_t seed) {
   // collisions lengthen the wait, they don't reset it.
   timeline_ = std::make_unique<Timeline>(static_cast<std::size_t>(n),
                                          bss_.size());
-  sta_metrics_ = std::make_unique<StationMetrics>(
-      static_cast<std::size_t>(n),
-      scenario_.metrics_station_cap > 0
-          ? static_cast<std::size_t>(scenario_.metrics_station_cap)
-          : StationMetrics::kDefaultCap);
+  sta_metrics_ = std::make_unique<StationMetrics>(static_cast<std::size_t>(n));
   hol_since_.assign(static_cast<std::size_t>(n), 0.0);
   last_tx_start_.assign(static_cast<std::size_t>(n), -1.0);
   queue_len_.assign(static_cast<std::size_t>(n), 0);

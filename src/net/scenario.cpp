@@ -19,6 +19,17 @@ const runner::Json& require(const runner::Json& json, std::string_view key) {
   return *value;
 }
 
+// The registry's view of a SlotHist (unnamed), for quantiles and JSON.
+obs::HistogramSnapshot snapshot(const SlotHist& h) {
+  obs::HistogramSnapshot snap;
+  snap.count = h.count;
+  snap.sum = h.sum;
+  snap.min = h.min;
+  snap.max = h.max;
+  std::copy(h.buckets.begin(), h.buckets.end(), snap.buckets.begin());
+  return snap;
+}
+
 }  // namespace
 
 runner::Json Scenario::to_json() const {
@@ -45,8 +56,6 @@ runner::Json Scenario::to_json() const {
     root.set("fixed_rate_mbps", nullptr);
   }
   root.set("use_selection_feedback", use_selection_feedback);
-  root.set("metrics_station_cap",
-           static_cast<std::int64_t>(metrics_station_cap));
   return root;
 }
 
@@ -77,8 +86,6 @@ Scenario Scenario::from_json(const runner::Json& json) {
   }
   sc.use_selection_feedback =
       require(json, "use_selection_feedback").as_bool();
-  sc.metrics_station_cap =
-      static_cast<int>(require(json, "metrics_station_cap").as_int());
   return sc;
 }
 
@@ -102,13 +109,7 @@ double SlotHist::mean() const {
 }
 
 double SlotHist::quantile(double q) const {
-  obs::HistogramSnapshot snap;
-  snap.count = count;
-  snap.sum = sum;
-  snap.min = min;
-  snap.max = max;
-  std::copy(buckets.begin(), buckets.end(), snap.buckets.begin());
-  return snap.quantile(q);
+  return snapshot(*this).quantile(q);
 }
 
 SlotHist& SlotHist::operator+=(const SlotHist& o) {
@@ -126,19 +127,7 @@ SlotHist& SlotHist::operator+=(const SlotHist& o) {
 }
 
 runner::Json SlotHist::to_json() const {
-  runner::Json root = runner::Json::object();
-  root.set("count", static_cast<std::int64_t>(count));
-  root.set("sum", static_cast<std::int64_t>(sum));
-  root.set("min", static_cast<std::int64_t>(min));
-  root.set("max", static_cast<std::int64_t>(max));
-  std::size_t used = buckets.size();
-  while (used > 0 && buckets[used - 1] == 0) --used;
-  runner::Json tallies = runner::Json::array();
-  for (std::size_t b = 0; b < used; ++b) {
-    tallies.push_back(static_cast<std::int64_t>(buckets[b]));
-  }
-  root.set("buckets", std::move(tallies));
-  return root;
+  return obs::histogram_json(snapshot(*this));
 }
 
 StaStats& StaStats::operator+=(const StaStats& o) {

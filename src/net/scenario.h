@@ -60,11 +60,6 @@ struct Scenario {
   // Whether receiver EVM selection feedback steers each session's
   // control subcarriers (the paper's design).
   bool use_selection_feedback = true;
-  // Stations tracked with their own net.sta.NN.* registry metrics;
-  // stations past the cap fold into net.sta.overflow.* (timeline.h).
-  // Bounds the obs registry's fixed histogram capacity, not the
-  // simulation itself.
-  int metrics_station_cap = 64;
 
   int num_stations() const { return topology.total_stations(); }
 
@@ -93,8 +88,8 @@ struct AirtimeBreakdown {
 // deterministic result itself (unlike obs histograms, these exist — and
 // merge identically — with observability compiled out, so sweep JSONs
 // stay byte-identical ON vs OFF). Buckets follow obs::histogram_bucket's
-// power-of-two scheme, and quantile() gives the same bucket-interpolated
-// p50/p95/p99 estimate as obs::HistogramSnapshot.
+// power-of-two scheme; quantile() and to_json() go through the
+// obs::HistogramSnapshot the registry's histograms use.
 struct SlotHist {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;
@@ -109,7 +104,7 @@ struct SlotHist {
 
   SlotHist& operator+=(const SlotHist& o);
 
-  // Integers only, buckets trailing-zero trimmed.
+  // obs::histogram_json: integers only, buckets trailing-zero trimmed.
   runner::Json to_json() const;
 
   friend bool operator==(const SlotHist&, const SlotHist&) = default;

@@ -2,8 +2,8 @@
 // track per station plus the shared medium, rendered under pid 2 of the
 // Chrome/Perfetto trace (obs/trace.h), with timestamps in deterministic
 // simulated microseconds. A second helper interns per-station registry
-// histograms (net.sta.NN.*) so .metrics.json carries per-station latency
-// percentiles next to the aggregate ones.
+// histograms (net.sta.NN.*) so the sidecar's `metrics` section carries
+// per-station latency percentiles next to the aggregate ones.
 //
 // Exactly one scenario per capture owns the simulation timeline (the
 // first run_scenario to claim it); a single-scenario run — the CI smoke
@@ -82,13 +82,13 @@ class Timeline {
   std::vector<std::uint32_t> sta_;
 };
 
-// Per-station registry metrics, interned once per scenario. Stations up
-// to the configurable cap (Scenario::metrics_station_cap; default
-// kDefaultCap) get their own net.sta.NN.* family; stations past the cap
-// fold into the shared net.sta.overflow.* family instead of being
-// dropped, so totals stay complete while the registry's fixed histogram
-// capacity (obs::kMaxHistograms) stays bounded: a cap of C interns at
-// most 3*C + 3 histograms and C + 1 counters.
+// Per-station registry metrics, interned once per scenario. Stations
+// below the cap (kDefaultCap in every NetSim; tests pass smaller ones)
+// get their own net.sta.NN.* family; stations past the cap fold into the
+// shared net.sta.overflow.* family instead of being dropped, so totals
+// stay complete while the registry's fixed histogram capacity
+// (obs::kMaxHistograms) stays bounded: a cap of C interns at most
+// 3*C + 3 histograms and C + 1 counters.
 class StationMetrics {
  public:
   static constexpr std::size_t kDefaultCap = 64;
@@ -123,20 +123,10 @@ class StationMetrics {
   // Zero-pad width for station indices under `cap`: the digit count of
   // the largest index, floored at 2 for compatibility with the historic
   // "%02zu" labels ("net.sta.02" < "net.sta.10" lexicographically).
-  static int label_width(std::size_t cap) {
-    int width = 1;
-    for (std::size_t v = cap > 0 ? cap - 1 : 0; v >= 10; v /= 10) ++width;
-    return width < 2 ? 2 : width;
-  }
+  static int label_width(std::size_t cap);
 
   // Zero-padded station index at the given width.
-  static std::string station_label(std::size_t i, int width = 2) {
-    std::string label = std::to_string(i);
-    if (label.size() < static_cast<std::size_t>(width)) {
-      label.insert(0, static_cast<std::size_t>(width) - label.size(), '0');
-    }
-    return label;
-  }
+  static std::string station_label(std::size_t i, int width = 2);
 
   void hol_wait(std::size_t i, std::uint64_t slots) {
     if (i < hol_.size()) {
@@ -196,18 +186,8 @@ class StationMetrics {
  public:
   static constexpr std::size_t kDefaultCap = 64;
   explicit StationMetrics(std::size_t, std::size_t = kDefaultCap) {}
-  static int label_width(std::size_t cap) {
-    int width = 1;
-    for (std::size_t v = cap > 0 ? cap - 1 : 0; v >= 10; v /= 10) ++width;
-    return width < 2 ? 2 : width;
-  }
-  static std::string station_label(std::size_t i, int width = 2) {
-    std::string label = std::to_string(i);
-    if (label.size() < static_cast<std::size_t>(width)) {
-      label.insert(0, static_cast<std::size_t>(width) - label.size(), '0');
-    }
-    return label;
-  }
+  static int label_width(std::size_t cap);
+  static std::string station_label(std::size_t i, int width = 2);
   void hol_wait(std::size_t, std::uint64_t) {}
   void tx_gap(std::size_t, std::uint64_t) {}
   void tx_data_bits(std::size_t, std::uint64_t) {}
@@ -215,5 +195,19 @@ class StationMetrics {
 };
 
 #endif  // SILENCE_OBS_ON
+
+inline int StationMetrics::label_width(std::size_t cap) {
+  int width = 1;
+  for (std::size_t v = cap > 0 ? cap - 1 : 0; v >= 10; v /= 10) ++width;
+  return width < 2 ? 2 : width;
+}
+
+inline std::string StationMetrics::station_label(std::size_t i, int width) {
+  std::string label = std::to_string(i);
+  if (label.size() < static_cast<std::size_t>(width)) {
+    label.insert(0, static_cast<std::size_t>(width) - label.size(), '0');
+  }
+  return label;
+}
 
 }  // namespace silence::net

@@ -65,43 +65,10 @@ const runner::Json& require(const runner::Json& json, std::string_view key) {
   return *value;
 }
 
-runner::Json hist_json(const HistogramSnapshot& h) {
-  runner::Json root = runner::Json::object();
-  root.set("count", static_cast<std::int64_t>(h.count));
-  root.set("sum", static_cast<std::int64_t>(h.sum));
-  root.set("min", static_cast<std::int64_t>(h.min));
-  root.set("max", static_cast<std::int64_t>(h.max));
-  std::size_t last = h.buckets.size();
-  while (last > 0 && h.buckets[last - 1] == 0) --last;
-  runner::Json tallies = runner::Json::array();
-  for (std::size_t b = 0; b < last; ++b) {
-    tallies.push_back(static_cast<std::int64_t>(h.buckets[b]));
-  }
-  root.set("buckets", std::move(tallies));
-  return root;
-}
-
-HistogramSnapshot hist_from_json(const runner::Json& json) {
-  HistogramSnapshot h;
-  h.count = static_cast<std::uint64_t>(require(json, "count").as_int());
-  h.sum = static_cast<std::uint64_t>(require(json, "sum").as_int());
-  h.min = static_cast<std::uint64_t>(require(json, "min").as_int());
-  h.max = static_cast<std::uint64_t>(require(json, "max").as_int());
-  const runner::Json& tallies = require(json, "buckets");
-  if (!tallies.is_array() || tallies.size() > kHistogramBuckets) {
-    throw std::runtime_error("health: malformed histogram buckets");
-  }
-  for (std::size_t b = 0; b < tallies.size(); ++b) {
-    h.buckets[b] =
-        static_cast<std::uint64_t>(tallies.as_array()[b].as_int());
-  }
-  return h;
-}
-
 runner::Json hist_row_json(
     const std::array<HistogramSnapshot, kSubcarriers>& row) {
   runner::Json cells = runner::Json::array();
-  for (const HistogramSnapshot& h : row) cells.push_back(hist_json(h));
+  for (const HistogramSnapshot& h : row) cells.push_back(histogram_json(h));
   return cells;
 }
 
@@ -111,7 +78,7 @@ void hist_row_from_json(const runner::Json& cells,
     throw std::runtime_error("health: subcarrier row must have 48 cells");
   }
   for (std::size_t i = 0; i < kSubcarriers; ++i) {
-    row[i] = hist_from_json(cells.as_array()[i]);
+    row[i] = histogram_from_json(cells.as_array()[i]);
   }
 }
 
@@ -219,7 +186,7 @@ runner::Json health_json(const HealthSnapshot& snapshot) {
     detector.set(kTruthNames[t], hist_row_json(snapshot.scores[t]));
   }
   root.set("detector", std::move(detector));
-  root.set("nabla_evm_x4096", hist_json(snapshot.nabla_evm));
+  root.set("nabla_evm_x4096", histogram_json(snapshot.nabla_evm));
   return root;
 }
 
@@ -244,14 +211,8 @@ HealthSnapshot health_from_json(const runner::Json& doc) {
   for (std::size_t t = 0; t < kNumTruths; ++t) {
     hist_row_from_json(require(detector, kTruthNames[t]), snap.scores[t]);
   }
-  snap.nabla_evm = hist_from_json(require(doc, "nabla_evm_x4096"));
+  snap.nabla_evm = histogram_from_json(require(doc, "nabla_evm_x4096"));
   return snap;
-}
-
-runner::Json merge_health_json(const std::vector<runner::Json>& docs) {
-  HealthSnapshot merged;
-  for (const runner::Json& doc : docs) merged += health_from_json(doc);
-  return health_json(merged);
 }
 
 void maybe_trace_counters() {

@@ -9,9 +9,10 @@
 // interned and capped at 512, too few for these 48-wide rows next to the
 // per-station net.sta.* families, so health never interns: health.cpp
 // maps each (enum, subcarrier) to its fixed id, and the cells stay out of
-// Registry::snapshot() and `.metrics.json`. Like every registry cell they
-// are unsigned integers in per-thread blocks, so merging blocks, or a
-// campaign's sidecars, is exact and byte-identical at any thread count.
+// Registry::snapshot() and the sidecar's `metrics` section. Like every
+// registry cell they are unsigned integers in per-thread blocks, so
+// merging blocks, or a campaign's sidecars, is exact and byte-identical
+// at any thread count.
 //
 // All recorded values are fixed-point quantizations (scales below); the
 // detector score additionally carries its decision in the quantization:
@@ -24,14 +25,14 @@
 // count_confusion()'s miss/false-alarm tallies bit-for-bit at score 256.
 //
 // Building with SILENCE_OBS=OFF compiles every HEALTH_* macro to nothing,
-// so the snapshot stays empty and no .health.json is written; the
-// functions still link for the runner's sidecar plumbing and the tools.
+// so the snapshot stays empty and the sidecar has no `health` section;
+// the functions still link for the runner's sidecar plumbing and the
+// tools.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "obs/metrics.h"  // HistogramSnapshot, histogram_bucket
 #include "obs/obs.h"      // SILENCE_OBS_ON
@@ -94,8 +95,8 @@ enum class Counter : std::size_t {
 };
 
 // Merged view of the fixed cells. Integer-only, so operator+= (used by
-// merge_health_json) is exact and order-independent. Cells are unnamed
-// obs::HistogramSnapshots.
+// the campaign merge, runner::merge_obs_json) is exact and
+// order-independent. Cells are unnamed obs::HistogramSnapshots.
 struct HealthSnapshot {
   std::array<std::uint64_t, static_cast<std::size_t>(Counter::kCount)>
       counters{};
@@ -141,25 +142,18 @@ std::uint64_t quantize(double value, double scale);
 // at score 256 exactly equal to the mask-derived ones.
 std::uint64_t quantize_score(double energy, double threshold);
 
-// --- .health.json rendering / merging ----------------------------------
+// --- JSON rendering ----------------------------------------------------
 
-// Renders a snapshot as the `.health.json` sidecar document
-// (schema "cos.health.v1"): counters keyed by name, one histogram object
-// {count,sum,min,max,buckets[]} per waterfall subcarrier and per detector
-// (truth, subcarrier) cell, buckets trailing-zero trimmed. Integer-only
-// and deterministically ordered, so equal snapshots render equal bytes.
+// Renders a snapshot as the sidecar's `health` section (schema
+// "cos.health.v1"): counters keyed by name, one obs::histogram_json cell
+// per waterfall subcarrier and per detector (truth, subcarrier) cell.
+// Integer-only and deterministically ordered, so equal snapshots render
+// equal bytes.
 runner::Json health_json(const HealthSnapshot& snapshot);
 
 // Exact inverse of health_json (zero-count cells round-trip to empty).
 // Throws std::runtime_error on a malformed document.
 HealthSnapshot health_from_json(const runner::Json& doc);
-
-// Deterministic merge of several health_json() documents (one per sweep
-// of a silence_campaign run): counters add and cells combine through
-// HistogramSnapshot::operator+=, so the merged document is byte-identical
-// to the one a single process recording the same values would have
-// written.
-runner::Json merge_health_json(const std::vector<runner::Json>& docs);
 
 // --- Perfetto counter sampling -----------------------------------------
 

@@ -266,6 +266,48 @@ void Registry::reset() {
   for (auto& s : gauge_set_) s.store(false, std::memory_order_relaxed);
 }
 
+runner::Json histogram_json(const HistogramSnapshot& h) {
+  runner::Json root = runner::Json::object();
+  root.set("count", static_cast<std::int64_t>(h.count));
+  root.set("sum", static_cast<std::int64_t>(h.sum));
+  root.set("min", static_cast<std::int64_t>(h.min));
+  root.set("max", static_cast<std::int64_t>(h.max));
+  std::size_t last = h.buckets.size();
+  while (last > 0 && h.buckets[last - 1] == 0) --last;
+  runner::Json tallies = runner::Json::array();
+  for (std::size_t b = 0; b < last; ++b) {
+    tallies.push_back(static_cast<std::int64_t>(h.buckets[b]));
+  }
+  root.set("buckets", std::move(tallies));
+  return root;
+}
+
+HistogramSnapshot histogram_from_json(const runner::Json& json) {
+  const auto field = [&json](std::string_view key) -> const runner::Json& {
+    const runner::Json* value = json.find(key);
+    if (value == nullptr) {
+      throw std::runtime_error("histogram: missing field '" +
+                               std::string(key) + "'");
+    }
+    return *value;
+  };
+  HistogramSnapshot h;
+  h.count = static_cast<std::uint64_t>(field("count").as_int());
+  h.sum = static_cast<std::uint64_t>(field("sum").as_int());
+  h.min = static_cast<std::uint64_t>(field("min").as_int());
+  h.max = static_cast<std::uint64_t>(field("max").as_int());
+  // Trailing zero buckets are trimmed, so position == bucket index.
+  const runner::Json::Array& tallies = field("buckets").as_array();
+  if (tallies.size() > kHistogramBuckets) {
+    throw std::runtime_error("histogram: more than " +
+                             std::to_string(kHistogramBuckets) + " buckets");
+  }
+  for (std::size_t b = 0; b < tallies.size(); ++b) {
+    h.buckets[b] = static_cast<std::uint64_t>(tallies[b].as_int());
+  }
+  return h;
+}
+
 runner::Json metrics_json(const MetricsSnapshot& snapshot) {
   using runner::Json;
   Json root = Json::object();
@@ -335,33 +377,9 @@ runner::Json merge_metrics_json(const std::vector<runner::Json>& docs) {
       if (!inserted && v > it->second) it->second = v;
     }
     for (const auto& [name, value] : section(doc, "histograms")->as_object()) {
-      const auto field = [&](std::string_view key) -> const Json& {
-        const Json* f = value.find(key);
-        if (f == nullptr) {
-          throw std::runtime_error("merge_metrics_json: histogram '" + name +
-                                   "' missing '" + std::string(key) + "'");
-        }
-        return *f;
-      };
       HistogramSnapshot& h = histograms[name];
       h.name = name;
-      HistogramSnapshot part;
-      part.count = static_cast<std::uint64_t>(field("count").as_int());
-      if (part.count == 0) continue;
-      part.sum = static_cast<std::uint64_t>(field("sum").as_int());
-      part.min = static_cast<std::uint64_t>(field("min").as_int());
-      part.max = static_cast<std::uint64_t>(field("max").as_int());
-      // metrics_json trims trailing zero buckets, so position == bucket
-      // index for everything it kept.
-      const Json::Array& buckets = field("buckets").as_array();
-      if (buckets.size() > kHistogramBuckets) {
-        throw std::runtime_error("merge_metrics_json: histogram '" + name +
-                                 "' has too many buckets");
-      }
-      for (std::size_t b = 0; b < buckets.size(); ++b) {
-        part.buckets[b] = static_cast<std::uint64_t>(buckets[b].as_int());
-      }
-      h += part;
+      h += histogram_from_json(value);
     }
   }
 

@@ -119,9 +119,20 @@ struct FixedSnapshot {
   std::array<HistogramSnapshot, kFixedHistograms> histograms{};
 };
 
+// The integer histogram encoding {count, sum, min, max, buckets[]}, with
+// trailing zero buckets trimmed: the health cells' and net::SlotHist's
+// JSON form. The name is not written.
+runner::Json histogram_json(const HistogramSnapshot& h);
+
+// Reads those five fields back (others are ignored, so metrics_json()'s
+// histogram entries parse too), leaving the name empty. Throws
+// std::runtime_error on a missing field or more than kHistogramBuckets
+// buckets.
+HistogramSnapshot histogram_from_json(const runner::Json& json);
+
 // The snapshot as a JSON object keyed by metric name (histograms with
-// mean/p50/p95/p99 and trimmed buckets): the `.metrics.json` sidecar and
-// the trace's "metrics" block.
+// mean/p50/p95/p99 and trimmed buckets): the `metrics` section of the
+// observability sidecar and the trace's "metrics" block.
 runner::Json metrics_json(const MetricsSnapshot& snapshot);
 
 // Deterministic merge of several metrics_json() documents (e.g. the

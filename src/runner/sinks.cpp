@@ -32,14 +32,6 @@ std::string cell_text(const Json& cell, int precision) {
   return compact;
 }
 
-// `results/foo.json` + `.x.json` -> `results/foo.x.json`.
-std::string sidecar_path(std::string path, const char* suffix) {
-  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
-    path.resize(path.size() - 5);
-  }
-  return path + suffix;
-}
-
 }  // namespace
 
 void SweepReport::add_row(std::vector<Json> cells) {
@@ -94,16 +86,12 @@ Json JsonSink::payload(const SweepReport& report) {
   return root;
 }
 
-std::string timing_sidecar_path(const std::string& json_path) {
-  return sidecar_path(json_path, ".timing.json");
-}
-
-std::string metrics_sidecar_path(const std::string& json_path) {
-  return sidecar_path(json_path, ".metrics.json");
-}
-
-std::string health_sidecar_path(const std::string& json_path) {
-  return sidecar_path(json_path, ".health.json");
+std::string obs_sidecar_path(const std::string& json_path) {
+  std::string path = json_path;
+  if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
+    path.resize(path.size() - 5);
+  }
+  return path + ".obs.json";
 }
 
 void JsonSink::write(const SweepReport& report) {
@@ -114,30 +102,47 @@ void JsonSink::write(const SweepReport& report) {
 
 void write_sidecars(const std::string& json_path, const std::string& bench,
                     int threads, std::size_t trials_run, double wall_seconds) {
+  Json doc = Json::object();
   Json timing = Json::object();
   timing.set("bench", bench);
   timing.set("threads", threads);
   timing.set("trials_run", static_cast<std::int64_t>(trials_run));
   timing.set("wall_seconds", wall_seconds);
-  write_json_file(timing_sidecar_path(json_path), timing);
-
-  // Metrics sidecar: the pipeline-wide obs snapshot for this run. Like
-  // timing it never touches the main file — counter values are seed-
-  // deterministic, but the .ns histograms are wall-clock.
-  const obs::MetricsSnapshot snapshot = obs::Registry::global().snapshot();
-  if (!snapshot.empty()) {
-    write_json_file(metrics_sidecar_path(json_path),
-                    obs::metrics_json(snapshot));
-  }
-
-  // Health sidecar: every quantity seed-deterministic, so the file is
-  // byte-identical at any thread count. Empty under SILENCE_OBS=OFF (the
-  // macros compile away) and for benches that never touch the CoS path.
+  doc.set("timing", std::move(timing));
+  // Both snapshots are empty under SILENCE_OBS=OFF (the macros compile
+  // away); health is also empty for benches that never touch the CoS path.
+  const obs::MetricsSnapshot metrics = obs::Registry::global().snapshot();
+  if (!metrics.empty()) doc.set("metrics", obs::metrics_json(metrics));
   const obs::health::HealthSnapshot health = obs::health::snapshot();
-  if (!health.empty()) {
-    write_json_file(health_sidecar_path(json_path),
-                    obs::health::health_json(health));
+  if (!health.empty()) doc.set("health", obs::health::health_json(health));
+  write_json_file(obs_sidecar_path(json_path), doc);
+}
+
+Json merge_obs_json(const std::vector<Json>& docs) {
+  std::int64_t trials_run = 0;
+  double wall_seconds = 0.0;
+  std::vector<Json> metrics;
+  obs::health::HealthSnapshot health;
+  for (const Json& doc : docs) {
+    if (const Json* timing = doc.find("timing")) {
+      if (const Json* n = timing->find("trials_run")) trials_run += n->as_int();
+      if (const Json* s = timing->find("wall_seconds")) {
+        wall_seconds += s->as_double();
+      }
+    }
+    if (const Json* m = doc.find("metrics")) metrics.push_back(*m);
+    if (const Json* h = doc.find("health")) {
+      health += obs::health::health_from_json(*h);
+    }
   }
+  Json merged = Json::object();
+  Json timing = Json::object();
+  timing.set("trials_run", trials_run);
+  timing.set("wall_seconds", wall_seconds);
+  merged.set("timing", std::move(timing));
+  if (!metrics.empty()) merged.set("metrics", obs::merge_metrics_json(metrics));
+  if (!health.empty()) merged.set("health", obs::health::health_json(health));
+  return merged;
 }
 
 void write_json_file(const std::string& path, const Json& value) {

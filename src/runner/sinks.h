@@ -7,8 +7,8 @@
 //
 // Determinism contract: the main JSON file contains only seed-derived
 // data, so two runs over the same grid are byte-identical regardless of
-// thread count. Timing (wall-clock, thread count) goes to a separate
-// `<bench>.timing.json` sidecar precisely so it cannot perturb diffs.
+// thread count. Timing (wall-clock, thread count) goes to the separate
+// `<bench>.obs.json` sidecar precisely so it cannot perturb diffs.
 #pragma once
 
 #include <cstddef>
@@ -75,24 +75,26 @@ void write_json_file(const std::string& path, const Json& value);
 // failure. Round-trips write_json_file exactly.
 Json read_json_file(const std::string& path);
 
-// `results/foo.json` -> `results/foo.timing.json`.
-std::string timing_sidecar_path(const std::string& json_path);
+// `results/foo.json` -> `results/foo.obs.json`.
+std::string obs_sidecar_path(const std::string& json_path);
 
-// `results/foo.json` -> `results/foo.metrics.json`.
-std::string metrics_sidecar_path(const std::string& json_path);
-
-// `results/foo.json` -> `results/foo.health.json` (PHY signal-health
-// snapshot; see obs/health/health.h). Written only when the health
-// cells recorded anything, i.e. never under SILENCE_OBS=OFF.
-std::string health_sidecar_path(const std::string& json_path);
-
-// Writes the sidecars of a run whose results live at `json_path`: the
-// `.timing.json` record (bench, threads, trials_run, wall_seconds), then
-// this process's metrics and health snapshots as `.metrics.json`
-// (obs::metrics_json) and `.health.json`, each only when it holds
-// anything. Timing and the `*.ns` histograms are wall-clock; every other
-// sidecar byte is seed-deterministic and identical at any thread count.
+// Writes the observability sidecar of a run whose results live at
+// `json_path`: one object at obs_sidecar_path with a `timing` section
+// (bench, threads, trials_run, wall_seconds), then this process's
+// `metrics` (obs::metrics_json) and `health` (obs::health::health_json)
+// snapshots, each only when it holds anything. Timing and the `*.ns`
+// histograms are wall-clock; every other byte is seed-deterministic and
+// identical at any thread count.
 void write_sidecars(const std::string& json_path, const std::string& bench,
                     int threads, std::size_t trials_run, double wall_seconds);
+
+// Merges several write_sidecars documents (one per sweep of a campaign)
+// into one of the same layout: `timing` sums trials_run and wall_seconds,
+// `metrics` goes through obs::merge_metrics_json, and `health` adds the
+// snapshots, so it is byte-identical to the section one process recording
+// every run would have written. `metrics` and `health` appear when any
+// input has them (a non-empty one). Throws std::runtime_error on a
+// malformed section.
+Json merge_obs_json(const std::vector<Json>& docs);
 
 }  // namespace silence::runner

@@ -96,19 +96,7 @@ CosTrialSpec CosTrialSpec::from_json(const runner::Json& json) {
       static_cast<std::size_t>(require(json, "psdu_octets").as_int());
   spec.control_bits =
       static_cast<std::size_t>(require(json, "control_bits").as_int());
-  if (const runner::Json* cos_profile = json.find("cos_profile")) {
-    spec.cos = CosProfile::from_json(*cos_profile);
-  } else {
-    // Legacy flat layout (pre-CosProfile flight dumps): the profile
-    // fields sat at the top level and the scrambler seed was implicit.
-    runner::Json flat = runner::Json::object();
-    flat.set("control_subcarriers", require(json, "control_subcarriers"));
-    flat.set("bits_per_interval", require(json, "bits_per_interval"));
-    flat.set("detector", require(json, "detector"));
-    flat.set("scrambler_seed", static_cast<std::int64_t>(0x5D));
-    flat.set("min_feedback_subcarriers", 6);
-    spec.cos = CosProfile::from_json(flat);
-  }
+  spec.cos = CosProfile::from_json(require(json, "cos_profile"));
   const runner::Json& prof = require(json, "profile");
   spec.profile.num_taps = static_cast<int>(require(prof, "num_taps").as_int());
   spec.profile.decay_taps = require(prof, "decay_taps").as_double();

@@ -25,10 +25,7 @@
 namespace silence {
 
 // Everything needed to reconstruct a trial. All fields serialize through
-// to_json()/from_json(); from_json(to_json(spec)) == spec. The JSON
-// reader also accepts the legacy flat layout (rate_mbps + top-level
-// control_subcarriers/bits_per_interval/detector), so flight-recorder
-// dumps written before the CosProfile migration still replay.
+// to_json()/from_json(); from_json(to_json(spec)) == spec.
 struct CosTrialSpec {
   double measured_snr_db = 10.0;  // NIC-measured SNR of the realization
   McsId mcs = McsId::for_rate(12);  // data MCS (serialized as rate_mbps)

@@ -61,7 +61,7 @@ TEST(Coordination, UplinkFlowsOnlyThroughGrants) {
       result.grants_issued - result.grants_lost;
   // Uplink bits cannot exceed one uplink frame per delivered grant.
   EXPECT_LE(result.uplink_bits,
-            delivered_grants * 8 * config.uplink_octets);
+            delivered_grants * 8 * config.frame_octets);
 }
 
 TEST(Coordination, RejectsBadConfig) {

@@ -243,23 +243,29 @@ TEST(NetTimeline, SubCapRunsInternNoOverflowFamily) {
 TEST(NetTimeline, ScenarioCapCarriesThroughRunScenario) {
   obs::Registry::global().reset();
   obs::Tracer::global().stop();
-  Scenario sc = test_scenario();  // 4 stations
-  sc.metrics_station_cap = 2;
-  (void)run_scenario(sc, 11);
+  // One station past NetSim's cap: stations 0..63 keep their own
+  // families and station 64 folds into net.sta.overflow.*.
+  Scenario sc = test_scenario();
+  sc.topology.bss[0].num_stations =
+      static_cast<int>(StationMetrics::kDefaultCap) + 1;
+  sc.duration_us = 10e3;
+  const NetResult r = run_scenario(sc, 11);
+  const StaStats& last = r.stations.back();
+  ASSERT_GT(last.collisions + last.hol_wait_slots.count, 0u)
+      << "station 64 never contended; lengthen the run";
   const obs::MetricsSnapshot snap = obs::Registry::global().snapshot();
-  const auto* sta0 = snap.histogram("net.sta.00.hol_wait_slots");
-  ASSERT_NE(sta0, nullptr);
-  const auto* sta1 = snap.histogram("net.sta.01.hol_wait_slots");
-  ASSERT_NE(sta1, nullptr);
-  EXPECT_GT(sta0->count + sta1->count, 0u);
-  // Stations at and past the cap route into the overflow family; their
-  // own families may exist from earlier tests in this binary (interned
-  // names outlive Registry::reset()) but must receive no samples.
-  const auto* spill = snap.histogram("net.sta.02.hol_wait_slots");
+  ASSERT_NE(snap.histogram("net.sta.63.hol_wait_slots"), nullptr);
+  // Station 64's own family may exist from earlier tests in this binary
+  // (interned names outlive Registry::reset()) but must receive no
+  // samples.
+  const auto* spill = snap.histogram("net.sta.64.hol_wait_slots");
   EXPECT_TRUE(spill == nullptr || spill->count == 0);
-  const auto* over = snap.histogram("net.sta.overflow.hol_wait_slots");
-  ASSERT_NE(over, nullptr);
-  EXPECT_GT(over->count, 0u);
+  const auto* over_hol = snap.histogram("net.sta.overflow.hol_wait_slots");
+  const auto* over_coll = snap.counter("net.sta.overflow.collisions");
+  ASSERT_NE(over_hol, nullptr);
+  ASSERT_NE(over_coll, nullptr);
+  EXPECT_EQ(over_hol->count, last.hol_wait_slots.count);
+  EXPECT_EQ(over_coll->value, last.collisions);
   obs::Registry::global().reset();
 }
 

@@ -1,7 +1,7 @@
 // PHY signal health (obs/health): determinism of the snapshot of its
 // fixed registry cells at any thread count, exactness of the quantization
 // (including the decision clamp that makes the score histograms
-// reproduce confusion counts), and the sidecar JSON round trip / merge.
+// reproduce confusion counts), and the JSON round trip / sidecar merge.
 #include "obs/health/health.h"
 
 #include <cmath>
@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "runner/json.h"
+#include "runner/sinks.h"
 
 namespace silence::obs::health {
 namespace {
@@ -106,23 +107,33 @@ TEST(HealthJson, RoundTripIsExact) {
             runner::Json::parse(doc.dump()).dump());
 }
 
+// A sidecar document holding only the current health snapshot.
+runner::Json health_sidecar() {
+  runner::Json doc = runner::Json::object();
+  doc.set("health", health_json(snapshot()));
+  return doc;
+}
+
 TEST(HealthJson, MergeEqualsSingleRecording) {
-  // Two "shards" recording disjoint halves, merged as JSON documents,
+  // Two "shards" recording disjoint halves, merged as sidecar documents,
   // must be byte-identical to one process recording the whole workload —
   // the campaign's cross-sweep health merge in miniature.
   reset();
   record_workload(0, 1500);
-  const runner::Json shard_a = health_json(snapshot());
+  const runner::Json shard_a = health_sidecar();
   reset();
   record_workload(1500, 3000);
-  const runner::Json shard_b = health_json(snapshot());
+  const runner::Json shard_b = health_sidecar();
   reset();
   record_workload(0, 3000);
   const std::string whole = health_json(snapshot()).dump();
   reset();
-  EXPECT_EQ(merge_health_json({shard_a, shard_b}).dump(), whole);
+  const auto merged_health = [](const std::vector<runner::Json>& docs) {
+    return runner::merge_obs_json(docs).find("health")->dump();
+  };
+  EXPECT_EQ(merged_health({shard_a, shard_b}), whole);
   // Merge order must not matter.
-  EXPECT_EQ(merge_health_json({shard_b, shard_a}).dump(), whole);
+  EXPECT_EQ(merged_health({shard_b, shard_a}), whole);
 }
 
 #endif  // SILENCE_OBS_ON

@@ -1,5 +1,6 @@
-// merge_metrics_json: the reduction that folds per-sweep .metrics.json
-// sidecars into one document (silence_campaign merges across sweeps).
+// merge_metrics_json: the reduction that folds the `metrics` sections of
+// per-sweep sidecars into one document (silence_campaign merges across
+// sweeps).
 // Counters sum, gauges take the max, histograms merge bucket-wise with
 // mean/p50/p95/p99 recomputed from the combined buckets.
 #include "obs/metrics.h"

@@ -1,7 +1,7 @@
 // Registry semantics: interning, counter/gauge/histogram accumulation,
 // power-of-two bucket placement, and — the load-bearing property — that
 // merged snapshots are bit-identical no matter how many threads recorded
-// the same set of values.
+// the same set of values. Also the shared histogram JSON codec.
 #include "obs/metrics.h"
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include <thread>
 #include <vector>
 
+#include "net/scenario.h"
 #include "obs/health/health.h"
+#include "runner/json.h"
 
 namespace silence::obs {
 namespace {
@@ -337,6 +339,73 @@ TEST(HistogramSnapshotAdd, EmptyIsIdentityAndOrderDoesNotMatter) {
   reversed += a;
   reversed.name = "a";
   EXPECT_EQ(reversed, sum);
+}
+
+// One encoding, three writers: histogram_json, SlotHist::to_json and the
+// health cells render the same bytes. The expected strings pin them, so
+// result JSONs and sidecars already on disk keep parsing and diffing.
+TEST(HistogramCodec, RendersTheSharedEncoding) {
+  // One sample in each of the 40 buckets, the open-ended last one at the
+  // health quantizer's 2^52 cap.
+  std::vector<std::uint64_t> full_range = {0};
+  for (int k = 0; k <= 37; ++k) full_range.push_back(std::uint64_t{1} << k);
+  full_range.push_back(std::uint64_t{1} << 52);
+  const struct {
+    std::vector<std::uint64_t> values;
+    const char* expected;
+  } kCases[] = {
+      {{}, R"({"count":0,"sum":0,"min":0,"max":0,"buckets":[]})"},
+      {{300},
+       R"({"count":1,"sum":300,"min":300,"max":300,)"
+       R"("buckets":[0,0,0,0,0,0,0,0,0,1]})"},
+      {full_range,
+       R"({"count":40,"sum":4503874505277439,"min":0,)"
+       R"("max":4503599627370496,"buckets":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,)"
+       R"(1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]})"},
+  };
+  for (const auto& c : kCases) {
+    net::SlotHist slot;
+    HistogramSnapshot h;
+    for (const std::uint64_t v : c.values) {
+      slot.record(v);
+      HistogramSnapshot one;
+      one.count = 1;
+      one.sum = one.min = one.max = v;
+      one.buckets[histogram_bucket(v)] = 1;
+      h += one;
+    }
+    health::HealthSnapshot cells;
+    cells.nabla_evm = h;
+    cells.waterfalls[0][5] = h;
+    const runner::Json doc = health::health_json(cells);
+    const runner::Json& waterfall =
+        doc.find("waterfalls")->find("snr_x256")->find("subcarriers")
+            ->as_array()[5];
+    EXPECT_EQ(histogram_json(h).dump_compact(), c.expected);
+    EXPECT_EQ(slot.to_json().dump_compact(), c.expected);
+    EXPECT_EQ(doc.find("nabla_evm_x4096")->dump_compact(), c.expected);
+    EXPECT_EQ(waterfall.dump_compact(), c.expected);
+    EXPECT_EQ(histogram_from_json(histogram_json(h)), h);
+  }
+}
+
+TEST(HistogramCodec, RejectsMalformedCells) {
+  HistogramSnapshot h;
+  h.count = 1;
+  h.buckets[0] = 1;
+  const runner::Json good = histogram_json(h);
+  for (const char* missing : {"count", "sum", "min", "max", "buckets"}) {
+    runner::Json pruned = runner::Json::object();
+    for (const auto& [key, value] : good.as_object()) {
+      if (key != missing) pruned.set(key, value);
+    }
+    EXPECT_THROW(histogram_from_json(pruned), std::runtime_error) << missing;
+  }
+  runner::Json too_many = good;
+  runner::Json buckets = runner::Json::array();
+  for (std::size_t b = 0; b < kHistogramBuckets + 1; ++b) buckets.push_back(0);
+  too_many.set("buckets", std::move(buckets));
+  EXPECT_THROW(histogram_from_json(too_many), std::runtime_error);
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ TEST(ObsOffTest, HealthMacrosCompileOutAndDoNotEvaluate) {
   HEALTH_NABLA_EVM(++evaluations);
   EXPECT_EQ(evaluations, 0);
   // The health runtime still links (the runner's sidecar plumbing
-  // calls it unconditionally) but its cells stay empty, so no
-  // .health.json is ever written in an OFF build.
+  // calls it unconditionally) but its cells stay empty, so an OFF
+  // build's sidecar never has a `health` section.
   EXPECT_TRUE(health::snapshot().empty());
   // Pure helpers keep working — tooling parses sidecars in OFF builds.
   EXPECT_EQ(health::quantize(0.5, 256.0), 128u);

@@ -56,12 +56,15 @@ TEST(CosTrialSpec, JsonRoundTripsWithoutInterferer) {
 }
 
 TEST(CosTrialSpec, FromJsonRejectsMissingFields) {
-  Json broken = test_spec().to_json();
-  Json pruned = Json::object();
-  for (const auto& [key, value] : broken.as_object()) {
-    if (key != "profile") pruned.set(key, value);
+  const Json whole = test_spec().to_json();
+  for (const char* missing : {"profile", "cos_profile"}) {
+    Json pruned = Json::object();
+    for (const auto& [key, value] : whole.as_object()) {
+      if (key != missing) pruned.set(key, value);
+    }
+    EXPECT_THROW(CosTrialSpec::from_json(pruned), std::runtime_error)
+        << missing;
   }
-  EXPECT_THROW(CosTrialSpec::from_json(pruned), std::runtime_error);
 }
 
 TEST(CosTrial, OutcomeIsAPureFunctionOfSpecAndSeed) {

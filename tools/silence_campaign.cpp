@@ -21,11 +21,11 @@
 // Each sweep's command is run as a child process with `--json <json>`
 // appended; within a sweep the bench's own thread pool (`--threads`)
 // does the parallel work. A sweep that exits nonzero fails the whole
-// campaign. Afterwards the dashboard aggregates across sweeps: counters
-// summed, gauges maxed, histograms merged bucket-wise with p50/p95/p99
-// recomputed from the combined buckets (obs::merge_metrics_json),
-// plus per-sweep wall-clock/trial totals from the .timing.json sidecars
-// and an exact integer merge of the .health.json PHY-health sidecars.
+// campaign. Afterwards the dashboard merges the sweeps' `<stem>.obs.json`
+// sidecars with runner::merge_obs_json: wall-clock and trial totals
+// summed, metrics counters summed, gauges maxed and histograms merged
+// bucket-wise with p50/p95/p99 recomputed from the combined buckets, and
+// an exact integer merge of the PHY-health sections.
 //
 // Exit status: 0 = campaign complete and dashboard written; 1 = a sweep
 // failed; 2 = usage/manifest error.
@@ -40,8 +40,6 @@
 #include <unistd.h>
 #include <vector>
 
-#include "obs/health/health.h"
-#include "obs/metrics.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
 
@@ -167,10 +165,7 @@ int main(int argc, char** argv) {
               manifest.sweeps.size());
 
   Json dashboard_sweeps = Json::array();
-  std::vector<Json> metric_docs;
-  std::vector<Json> health_docs;
-  double total_wall = 0.0;
-  std::int64_t total_trials = 0;
+  std::vector<Json> obs_docs;
 
   for (const SweepEntry& sweep : manifest.sweeps) {
     std::vector<std::string> command = sweep.command;
@@ -200,34 +195,40 @@ int main(int argc, char** argv) {
                    argv[0], sweep.name.c_str(), e.what());
       return 1;
     }
-    const std::string timing_path =
-        silence::runner::timing_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(timing_path)) {
-      const Json timing = silence::runner::read_json_file(timing_path);
-      if (const Json* wall = timing.find("wall_seconds")) {
-        entry.set("wall_seconds", *wall);
-        total_wall += wall->as_double();
+    const std::string obs_path =
+        silence::runner::obs_sidecar_path(sweep.json_path);
+    if (std::filesystem::exists(obs_path)) {
+      Json doc;
+      try {
+        doc = silence::runner::read_json_file(obs_path);
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "%s: sweep '%s': %s\n", argv[0],
+                     sweep.name.c_str(), e.what());
+        return 1;
       }
-      if (const Json* trials = timing.find("trials_run")) {
-        entry.set("trials_run", *trials);
-        total_trials += trials->as_int();
+      if (const Json* timing = doc.find("timing")) {
+        for (const char* key : {"wall_seconds", "trials_run"}) {
+          if (const Json* value = timing->find(key)) entry.set(key, *value);
+        }
       }
-    }
-    const std::string metrics_path =
-        silence::runner::metrics_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(metrics_path)) {
-      metric_docs.push_back(silence::runner::read_json_file(metrics_path));
-      entry.set("metrics", metrics_path);
-    }
-    const std::string health_path =
-        silence::runner::health_sidecar_path(sweep.json_path);
-    if (std::filesystem::exists(health_path)) {
-      health_docs.push_back(silence::runner::read_json_file(health_path));
-      entry.set("health", health_path);
+      entry.set("obs", obs_path);
+      obs_docs.push_back(std::move(doc));
     }
     dashboard_sweeps.push_back(std::move(entry));
   }
   if (dry_run) return 0;
+
+  Json merged;
+  try {
+    merged = silence::runner::merge_obs_json(obs_docs);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: cannot merge the sweeps' sidecars: %s\n",
+                 argv[0], e.what());
+    return 1;
+  }
+  const Json& timing = *merged.find("timing");
+  const std::int64_t total_trials = timing.find("trials_run")->as_int();
+  const double total_wall = timing.find("wall_seconds")->as_double();
 
   Json dashboard = Json::object();
   dashboard.set("campaign", manifest.campaign);
@@ -238,18 +239,12 @@ int main(int argc, char** argv) {
   totals.set("trials_run", total_trials);
   totals.set("wall_seconds", total_wall);
   dashboard.set("totals", std::move(totals));
-  // The cross-sweep metrics rollup: counters summed, histograms merged
-  // with quantiles recomputed — one place to see the whole campaign's
-  // pipeline counters.
-  if (!metric_docs.empty()) {
-    dashboard.set("metrics", silence::obs::merge_metrics_json(metric_docs));
-  }
-  // PHY signal-health rollup: the .health.json documents are integer-only
-  // snapshots, so summing them across sweeps is exact — the campaign view
-  // is the same document one process recording every sweep would write.
-  if (!health_docs.empty()) {
-    dashboard.set("health", silence::obs::health::merge_health_json(
-                                health_docs));
+  // The cross-sweep rollups: one place to see the whole campaign's
+  // pipeline counters and its PHY signal health.
+  for (const char* section : {"metrics", "health"}) {
+    if (const Json* value = merged.find(section)) {
+      dashboard.set(section, *value);
+    }
   }
   silence::runner::write_json_file(manifest.output, dashboard);
   std::printf("campaign dashboard written to %s (%zu sweep(s), %lld trials, "

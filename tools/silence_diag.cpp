@@ -151,9 +151,8 @@ int main(int argc, char** argv) {
   // The replay: same spec, same seed, fresh recording. The trial's
   // outcome is a pure function of (spec, seed), so every stage below
   // must reproduce the dump exactly. The recording keeps the dump's spec
-  // JSON verbatim — a dump in the legacy flat layout parses to the same
-  // trial but would re-serialize in the current layout, and the strict
-  // byte comparison below must not punish that.
+  // JSON verbatim, so the byte comparison below checks only what the
+  // replay produced.
   flight::TrialRecording rec(label, seed, recorded_spec);
   const CosTrialResult result = silence::run_cos_trial_recorded(spec, seed);
   // In SILENCE_OBS=OFF builds the in-trial hook is compiled out; setting

@@ -1,21 +1,21 @@
 // silence_report — fuses one sweep run's artifacts into a single human
 // + machine readable report.
 //
-//   silence_report <result.json> [--trace FILE] [--timing FILE]
-//                  [--metrics FILE] [--health FILE] [--out BASE]
+//   silence_report <result.json> [--trace FILE] [--obs FILE] [--out BASE]
 //
 // Inputs:
 //   <result.json>            the deterministic sweep result (JsonSink)
-//   <stem>.timing.json       wall-clock / thread-count sidecar
-//   <stem>.metrics.json      obs counters + latency histograms
-//   <stem>.health.json       PHY signal-health sidecar (obs/health)
+//   <stem>.obs.json          observability sidecar (runner/sinks.h):
+//                            `timing` (wall clock, threads), `metrics`
+//                            (obs counters + latency histograms) and
+//                            `health` (PHY signal health, obs/health)
 //   --trace FILE             Chrome/Perfetto trace (wall spans under
 //                            pid 1, per-station MAC timelines under
 //                            pid 2, phy-health counters under pid 3)
 //
-// Sidecars are auto-discovered next to the result file; an absent
-// auto-discovered sidecar degrades to a note in the report. Naming an
-// input explicitly on the CLI (--trace/--timing/--metrics/--health)
+// The sidecar is auto-discovered next to the result file; an absent
+// auto-discovered sidecar, or an absent section, degrades to a note in
+// the report. Naming an input explicitly on the CLI (--trace/--obs)
 // makes it REQUIRED: if it is missing or unparseable the tool prints
 // what went wrong and exits nonzero instead of silently omitting the
 // section.
@@ -32,7 +32,7 @@
 // the configured threshold (score 256) against the confusion counters.
 //
 // Exit status: 0 = report written; 1 = report written, but the health
-// sidecar's score histograms disagree with its confusion counters (each
+// section's score histograms disagree with its confusion counters (each
 // mismatch is named on stderr); 2 = usage error, unreadable result, or
 // a missing/unparseable explicitly requested input.
 #include <algorithm>
@@ -58,15 +58,15 @@ namespace health = silence::obs::health;
 
 int usage(const char* argv0, int code) {
   std::fprintf(stderr,
-               "usage: %s <result.json> [--trace FILE] [--timing FILE]\n"
-               "       [--metrics FILE] [--health FILE] [--out BASE]\n"
-               "  fuses the result file, its .timing/.metrics/.health\n"
-               "  sidecars and (optionally) a Chrome trace into\n"
-               "  BASE.md + BASE.json (default BASE: result stem +\n"
-               "  '.report'). Sidecars are auto-discovered next to the\n"
-               "  result; naming one explicitly makes it required\n"
-               "  (missing or unparseable => exit 2). Exit 1: the health\n"
-               "  sidecar's ROC disagrees with its confusion counters.\n",
+               "usage: %s <result.json> [--trace FILE] [--obs FILE]\n"
+               "       [--out BASE]\n"
+               "  fuses the result file, its .obs.json sidecar and\n"
+               "  (optionally) a Chrome trace into BASE.md + BASE.json\n"
+               "  (default BASE: result stem + '.report'). The sidecar\n"
+               "  is auto-discovered next to the result; naming it\n"
+               "  explicitly makes it required (missing or unparseable\n"
+               "  => exit 2). Exit 1: the health section's ROC disagrees\n"
+               "  with its confusion counters.\n",
                argv0);
   return code;
 }
@@ -184,7 +184,7 @@ TraceSummary summarize_trace(const std::string& path) {
 }
 
 // ---------------------------------------------------------------------
-// Per-station rollup out of the .metrics.json histograms/counters.
+// Per-station rollup out of the `metrics` section's histograms/counters.
 
 struct StationRow {
   std::string label;  // "00", "01", ...
@@ -269,7 +269,7 @@ void md_results_table(std::string& md, const Json& result) {
 }
 
 // ---------------------------------------------------------------------
-// PHY health: .health.json sidecar rollup (obs/health).
+// PHY health: the sidecar's `health` section rolled up (obs/health).
 
 using silence::obs::HistogramSnapshot;
 using HealthRow = std::array<HistogramSnapshot, health::kSubcarriers>;
@@ -513,8 +513,8 @@ int main(int argc, char** argv) {
   std::string result_path;
   std::string trace_path;
   std::string out_base;
-  // Explicitly named sidecar paths (empty = auto-discover, tolerant).
-  std::string timing_path, metrics_path, health_path;
+  // Explicitly named sidecar (empty = auto-discover, tolerant).
+  std::string obs_path;
   const auto take_value = [&](int& i, std::string& into) {
     if (i + 1 >= argc) return false;
     into = argv[++i];
@@ -525,14 +525,12 @@ int main(int argc, char** argv) {
       return usage(argv[0], 0);
     } else if (!std::strcmp(argv[i], "--trace")) {
       if (!take_value(i, trace_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--timing")) {
-      if (!take_value(i, timing_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--metrics")) {
-      if (!take_value(i, metrics_path)) return usage(argv[0], 2);
-    } else if (!std::strcmp(argv[i], "--health")) {
-      if (!take_value(i, health_path)) return usage(argv[0], 2);
+    } else if (!std::strcmp(argv[i], "--obs")) {
+      if (!take_value(i, obs_path)) return usage(argv[0], 2);
     } else if (!std::strcmp(argv[i], "--out")) {
       if (!take_value(i, out_base)) return usage(argv[0], 2);
+    } else if (argv[i][0] == '-') {
+      return usage(argv[0], 2);  // unknown option
     } else if (result_path.empty()) {
       result_path = argv[i];
     } else {
@@ -550,53 +548,41 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Sidecars. Auto-discovered ones that are absent degrade to a note in
-  // the report; an input the user explicitly asked for must load, so a
+  // The sidecar. An auto-discovered one that is absent degrades to notes
+  // in the report; one the user explicitly asked for must load, so a
   // missing file fails loudly instead of producing a silently thinner
   // report. Parse errors are fatal either way — a sidecar that exists
   // but doesn't parse is a broken artifact, not an optional one.
-  bool load_failed = false;
-  const auto load_sidecar = [&](const std::string& explicit_path,
-                                const std::string& auto_path,
-                                const char* what, Json& into) {
-    const bool required = !explicit_path.empty();
-    const std::string& path = required ? explicit_path : auto_path;
-    if (!std::filesystem::exists(path)) {
-      if (required) {
-        std::fprintf(stderr, "%s: requested %s sidecar does not exist: %s\n",
-                     argv[0], what, path.c_str());
-        load_failed = true;
-      }
-      return false;
-    }
+  const bool obs_required = !obs_path.empty();
+  if (!obs_required) {
+    obs_path = silence::runner::obs_sidecar_path(result_path);
+  }
+  Json obs = Json::object();
+  if (std::filesystem::exists(obs_path)) {
     try {
-      into = silence::runner::read_json_file(path);
+      obs = silence::runner::read_json_file(obs_path);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: cannot parse %s sidecar %s: %s\n", argv[0],
-                   what, path.c_str(), e.what());
-      load_failed = true;
-      return false;
+      std::fprintf(stderr, "%s: cannot parse sidecar %s: %s\n", argv[0],
+                   obs_path.c_str(), e.what());
+      return 2;
     }
-    return true;
-  };
-  Json timing, metrics, health_doc;
-  const bool have_timing = load_sidecar(
-      timing_path, silence::runner::timing_sidecar_path(result_path),
-      "timing", timing);
-  const bool have_metrics = load_sidecar(
-      metrics_path, silence::runner::metrics_sidecar_path(result_path),
-      "metrics", metrics);
-  const bool have_health = load_sidecar(
-      health_path, silence::runner::health_sidecar_path(result_path),
-      "health", health_doc);
-  if (load_failed) return 2;
+  } else if (obs_required) {
+    std::fprintf(stderr, "%s: requested sidecar does not exist: %s\n",
+                 argv[0], obs_path.c_str());
+    return 2;
+  }
+  // Absent sections (a bench that recorded nothing, SILENCE_OBS=OFF)
+  // stay null.
+  const Json* timing = field(obs, "timing");
+  const Json* metrics = field(obs, "metrics");
+  const Json* health_doc = field(obs, "health");
 
   health::HealthSnapshot health_snapshot;
-  if (have_health) {
+  if (health_doc != nullptr) {
     try {
-      health_snapshot = health::health_from_json(health_doc);
+      health_snapshot = health::health_from_json(*health_doc);
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s: malformed health sidecar: %s\n", argv[0],
+      std::fprintf(stderr, "%s: malformed health section: %s\n", argv[0],
                    e.what());
       return 2;
     }
@@ -616,7 +602,7 @@ int main(int argc, char** argv) {
 
   const std::string bench = string_field(result, "bench", "(unknown)");
   const std::vector<StationRow> stations =
-      have_metrics ? station_rows(metrics) : std::vector<StationRow>{};
+      metrics != nullptr ? station_rows(*metrics) : std::vector<StationRow>{};
 
   // ----- markdown -----
   std::string md;
@@ -624,30 +610,30 @@ int main(int argc, char** argv) {
   md += string_field(result, "title") + " — " +
         string_field(result, "description") + "\n\n";
   md += "- result: `" + result_path + "`\n";
-  if (have_timing) {
+  if (timing != nullptr) {
     char line[160];
     std::snprintf(line, sizeof(line),
                   "- timing: %.2f s wall, %d thread(s), %lld trial(s)\n",
-                  number_field(timing, "wall_seconds", 0.0),
-                  static_cast<int>(number_field(timing, "threads", 0.0)),
+                  number_field(*timing, "wall_seconds", 0.0),
+                  static_cast<int>(number_field(*timing, "threads", 0.0)),
                   static_cast<long long>(
-                      number_field(timing, "trials_run", 0.0)));
+                      number_field(*timing, "trials_run", 0.0)));
     md += line;
   } else {
-    md += "- timing: _no .timing.json sidecar_\n";
+    md += "- timing: _no sidecar timing section_\n";
   }
   md += "\n## Results\n\n";
   md_results_table(md, result);
 
   md += "\n## Latency metrics\n\n";
-  if (!have_metrics) {
-    md += "_no .metrics.json sidecar (run with --json under "
+  if (metrics == nullptr) {
+    md += "_no sidecar metrics section (run with --json under "
           "SILENCE_OBS=ON)_\n";
   } else {
     md += "| histogram | count | mean | p50 | p95 | p99 |\n"
           "| --- | --- | --- | --- | --- | --- |\n";
     std::size_t listed = 0;
-    if (const Json* histograms = field(metrics, "histograms")) {
+    if (const Json* histograms = field(*metrics, "histograms")) {
       for (const auto& [name, entry] : histograms->as_object()) {
         // The per-station rows get their own table below.
         if (name.rfind("net.sta.", 0) == 0) continue;
@@ -677,8 +663,8 @@ int main(int argc, char** argv) {
   }
 
   md += "\n## PHY health\n\n";
-  if (!have_health) {
-    md += "_no .health.json sidecar (run with --json under "
+  if (health_doc == nullptr) {
+    md += "_no sidecar health section (run with --json under "
           "SILENCE_OBS=ON)_\n";
   } else {
     md_health_section(md, health_snapshot);
@@ -714,9 +700,9 @@ int main(int argc, char** argv) {
   report.set("schema_version", 1);
   report.set("bench", bench);
   report.set("result", result_path);
-  if (have_timing) report.set("timing", timing);
-  if (have_metrics) {
-    report.set("metrics", metrics);
+  if (timing != nullptr) report.set("timing", *timing);
+  if (metrics != nullptr) {
+    report.set("metrics", *metrics);
     Json sta_rows = Json::array();
     for (const StationRow& row : stations) {
       Json r = Json::object();
@@ -732,8 +718,8 @@ int main(int argc, char** argv) {
     }
     report.set("stations", std::move(sta_rows));
   }
-  if (have_health) {
-    report.set("health", health_doc);
+  if (health_doc != nullptr) {
+    report.set("health", *health_doc);
     const OperatingPoint op = operating_point(health_snapshot);
     Json roc = Json::object();
     roc.set("truth_silent", static_cast<std::int64_t>(op.truth_silent));
@@ -787,7 +773,7 @@ int main(int argc, char** argv) {
 
   // The health gate: the score histograms must reproduce the confusion
   // counters exactly (see OperatingPoint).
-  if (!have_health) return 0;
+  if (health_doc == nullptr) return 0;
   const OperatingPoint op = operating_point(health_snapshot);
   for (const OperatingPoint::Check& c : op.checks()) {
     if (c.histogram == c.counter) continue;
