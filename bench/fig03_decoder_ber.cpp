@@ -9,8 +9,10 @@
 #include "channel/fading.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "phy/puncture.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
+#include "phy/workspace.h"
 #include "sim/stats.h"
 
 using namespace silence;
@@ -18,10 +20,14 @@ using namespace silence;
 namespace {
 
 // Decoder-input BER: hard-decision errors on the transmitted coded stream
-// before Viterbi decoding, averaged over packets and positions.
+// before Viterbi decoding, averaged over packets and positions. The
+// decoder input is the workspace's deinterleaved, depunctured LLR stream,
+// punctured back to the transmitted coded-bit order.
 double decoder_input_ber(double measured_snr_db, int packets) {
   const Mcs& mcs = mcs_for_rate(24);
   ErrorStats stats;
+  PhyWorkspace ws;
+  Bits hard;
   for (int p = 0; p < packets; ++p) {
     Rng rng(static_cast<std::uint64_t>(p) * 977 + 11);
     MultipathProfile profile;
@@ -33,13 +39,14 @@ double decoder_input_ber(double measured_snr_db, int packets) {
     const TxFrame frame = build_frame(psdu, mcs);
     const CxVec received =
         channel.transmit(frame_to_samples(frame), nv, rng);
-    const FrontEndResult fe = receiver_front_end(received);
+    const FrontEndResult fe = receiver_front_end(received, ws);
     if (!fe.signal) continue;
-    const DecodeResult decode =
-        decode_data_symbols(fe, mcs, static_cast<int>(psdu.size()));
+    (void)decode_data_symbols(fe, mcs, static_cast<int>(psdu.size()), nullptr,
+                              ws);
+    hard_decisions_into(ws.mother, hard);
     stats.bits += frame.coded_bits.size();
     stats.bit_errors +=
-        hamming_distance(decode.decoder_input_hard, frame.coded_bits);
+        hamming_distance(puncture(hard, mcs.code_rate), frame.coded_bits);
   }
   return stats.ber();
 }

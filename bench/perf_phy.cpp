@@ -1,7 +1,8 @@
 // PHY throughput microbenchmarks (google-benchmark): the hot paths of the
 // simulator — FFT, Viterbi decoding, the full transmit and receive chains,
-// the CoS additions (energy detection, silence planning) and the
-// channel's AWGN sampler.
+// the bit path's transmit chain and receive tail against their per-bit
+// references, the CoS additions (energy detection, silence planning) and
+// the channel's AWGN sampler.
 //
 // Besides the console table, every run writes `results/BENCH_phy.json`
 // (per-stage ns/op and items/sec) through the runner's JSON sink so PRs
@@ -12,8 +13,8 @@
 // obs metrics registry. `--trace FILE` dumps a Chrome trace of the run.
 // A trailing `context` object records the machine and build that produced
 // the numbers: the git commit, CPU model, hardware threads, build type,
-// SILENCE_OBS, SILENCE_NATIVE, and which Viterbi add-compare-select,
-// 64-point FFT, multipath FIR and AWGN fill kernels ran.
+// SILENCE_OBS, SILENCE_NATIVE, and which Viterbi add-compare-select, LLR
+// quantizer, 64-point FFT, multipath FIR and AWGN fill kernels ran.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -36,11 +37,14 @@
 #include "dsp/fft_kernels.h"
 #include "obs/metrics.h"  // the registry snapshot, also under SILENCE_OBS=OFF
 #include "obs/obs.h"
+#include "phy/bit_reference.h"
 #include "phy/convolutional.h"
+#include "phy/puncture.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
 #include "phy/viterbi.h"
 #include "phy/viterbi_kernels.h"
+#include "phy/workspace.h"
 #include "perf_phy_git_sha.h"
 #include "runner/json.h"
 #include "runner/sinks.h"
@@ -153,6 +157,117 @@ void BM_ReceiveChain(benchmark::State& state) {
                           static_cast<long>(kBenchPsduBytes));
 }
 BENCHMARK(BM_ReceiveChain);
+
+// The bit path on one 1024-octet PSDU at 36 Mb/s (16-QAM, rate 3/4, so
+// the puncturer runs), each fast chain against the per-bit chain it
+// replays bit for bit (phy/bit_reference.h). CI gates both ratios.
+const Mcs& bit_path_mcs() { return mcs_for_rate(36); }
+
+// PSDU octets to coded stream and symbol grid: build_frame (octet
+// scrambling, table encoder-puncturer, gather mapper) or the per-bit
+// chain (unpack, register scrambler, per-bit encode, puncture, scatter
+// interleave, per-point map).
+void tx_bit_chain_bench(benchmark::State& state, bool reference) {
+  const Bytes psdu = bench_psdu(kBenchPsduBytes);
+  const Mcs& mcs = bit_path_mcs();
+  Bits coded;
+  SymbolGrid grid;
+  for (auto _ : state) {
+    if (reference) {
+      bit_reference::build_frame_bits(psdu, mcs, 0x5D, coded, grid);
+      benchmark::DoNotOptimize(grid.cells().data());
+    } else {
+      const TxFrame frame = build_frame(psdu, mcs, 0x5D);
+      benchmark::DoNotOptimize(frame.data_grid.cells().data());
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kBenchPsduBytes));
+}
+
+void BM_TxBitChain(benchmark::State& state) {
+  tx_bit_chain_bench(state, false);
+}
+BENCHMARK(BM_TxBitChain);
+
+void BM_TxBitChainReference(benchmark::State& state) {
+  tx_bit_chain_bench(state, true);
+}
+BENCHMARK(BM_TxBitChainReference);
+
+// The receive chain's bit stages around the add-compare-select, on one
+// clean frame's demapped LLRs and decoder output: decoder input
+// (deinterleave and depuncture), LLR quantization, the OBS corrected-bit
+// count, PSDU descramble and pack, and the FCS check. Fast: the fused
+// gather, the AVX2 quantizer, the word-wide count, the one-pass PSDU and
+// slicing-by-8. Reference: two passes with a pattern test per mother bit,
+// the scalar quantizer, re-encode-puncture-compare per bit, the register
+// descrambler, per-bit packing and the bytewise CRC.
+void rx_decoder_input_tail_bench(benchmark::State& state, bool reference) {
+  const Bytes psdu = bench_psdu(kBenchPsduBytes);
+  const Mcs& mcs = bit_path_mcs();
+  const CxVec samples = frame_to_samples(build_frame(psdu, mcs, 0x5D));
+  PhyWorkspace ws;
+  const FrontEndResult fe = receiver_front_end(samples, ws);
+  const DecodeResult decoded = decode_data_symbols(
+      fe, mcs, static_cast<int>(psdu.size()), nullptr, ws);
+  if (!decoded.crc_ok) {
+    state.SkipWithError("bench frame did not decode");
+    return;
+  }
+  const std::vector<double> llrs = ws.llrs;
+  const Bits bits = ws.scrambled;
+  std::vector<double> deinterleaved;
+  Llrs mother;
+  std::vector<std::int16_t> quantized;
+  Bytes out;
+  for (auto _ : state) {
+    std::uint64_t corrected;
+    bool ok;
+    if (reference) {
+      bit_reference::decoder_input(llrs, mcs, deinterleaved, mother);
+      quantized.resize(mother.size());
+      viterbi_kernels::quantize_llrs_scalar(mother, quantized);
+      corrected = bit_reference::corrected_bits(bits, mcs.code_rate,
+                                                deinterleaved);
+      out = bit_reference::descramble_psdu(bits, decoded.scrambler_seed,
+                                           psdu.size());
+      const std::uint32_t fcs =
+          bit_reference::crc32(std::span(out).first(out.size() - 4));
+      ok = std::equal(out.end() - 4, out.end(),
+                      std::array<std::uint8_t, 4>{
+                          static_cast<std::uint8_t>(fcs),
+                          static_cast<std::uint8_t>(fcs >> 8),
+                          static_cast<std::uint8_t>(fcs >> 16),
+                          static_cast<std::uint8_t>(fcs >> 24)}
+                          .begin());
+    } else {
+      deinterleave_depuncture_into(llrs, mcs, mother);
+      quantized.resize(mother.size());
+      ViterbiDecoder::quantize_llrs(mother, quantized);
+      corrected = count_corrected_bits(bits, mother);
+      descramble_psdu_into(bits, decoded.scrambler_seed, psdu.size(), out);
+      ok = check_fcs(out);
+    }
+    benchmark::DoNotOptimize(corrected);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(quantized.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<long>(kBenchPsduBytes));
+}
+
+void BM_RxDecoderInputTail(benchmark::State& state) {
+  rx_decoder_input_tail_bench(state, false);
+}
+BENCHMARK(BM_RxDecoderInputTail);
+
+void BM_RxDecoderInputTailReference(benchmark::State& state) {
+  rx_decoder_input_tail_bench(state, true);
+}
+BENCHMARK(BM_RxDecoderInputTailReference);
 
 void BM_CosTransmit(benchmark::State& state) {
   const Bytes psdu = bench_psdu(kBenchPsduBytes);
@@ -304,6 +419,7 @@ runner::Json build_context() {
   c.set("silence_obs", SILENCE_OBS_ON != 0);
   c.set("silence_native", PERF_PHY_NATIVE != 0);
   c.set("acs_kernel", viterbi_kernels::acs_kernel().name);
+  c.set("quantizer", viterbi_kernels::quantize_kernel_name());
   c.set("fft_kernel",
         fft_kernels::fft64_kernel() != nullptr ? "avx2" : "portable");
   c.set("fir_kernel",

@@ -25,14 +25,10 @@ void bits_to_bytes_into(std::span<const std::uint8_t> bits, Bytes& bytes) {
   if (bits.size() % 8 != 0) {
     throw std::invalid_argument("bits_to_bytes: bit count not a multiple of 8");
   }
-  // Eight bits per byte without a data-dependent branch (a PSDU's bits
-  // are random, so a branch per bit mispredicts half the time).
   bytes.resize(bits.size() / 8);
   const std::uint8_t* in = bits.data();
   for (std::uint8_t& byte : bytes) {
-    unsigned packed = 0;
-    for (unsigned i = 0; i < 8; ++i) packed |= (in[i] & 1U) << i;
-    byte = static_cast<std::uint8_t>(packed);
+    byte = pack_octet(in);
     in += 8;
   }
 }

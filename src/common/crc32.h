@@ -8,7 +8,9 @@
 namespace silence {
 
 // Standard reflected CRC-32 (polynomial 0x04C11DB7, init 0xFFFFFFFF,
-// final XOR 0xFFFFFFFF). Matches zlib's crc32().
+// final XOR 0xFFFFFFFF). Matches zlib's crc32(). Slicing-by-8: eight
+// octets per step through eight 256-entry tables, equal to the one-table
+// bytewise loop (phy/bit_reference.h) on every input.
 std::uint32_t crc32(std::span<const std::uint8_t> data);
 
 // Appends the 4 FCS octets (little-endian CRC-32) to `frame`.

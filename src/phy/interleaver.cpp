@@ -1,7 +1,11 @@
 #include "phy/interleaver.h"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <stdexcept>
+
+#include "phy/modulation.h"
 
 namespace silence {
 
@@ -9,15 +13,9 @@ std::vector<int> interleaver_permutation(int n_cbps, int n_bpsc) {
   if (n_cbps <= 0 || n_cbps % 16 != 0) {
     throw std::invalid_argument("interleaver: n_cbps must be a multiple of 16");
   }
-  const int s = std::max(n_bpsc / 2, 1);
   std::vector<int> perm(static_cast<std::size_t>(n_cbps));
   for (int k = 0; k < n_cbps; ++k) {
-    // First permutation: adjacent coded bits -> nonadjacent subcarriers.
-    const int i = (n_cbps / 16) * (k % 16) + k / 16;
-    // Second permutation: alternate mapping onto less/more significant
-    // constellation bits.
-    const int j = s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s;
-    perm[static_cast<std::size_t>(k)] = j;
+    perm[static_cast<std::size_t>(k)] = interleaver_position(k, n_cbps, n_bpsc);
   }
   return perm;
 }
@@ -49,7 +47,57 @@ std::span<const int> permutation_for(int n_cbps, int n_bpsc,
   return local;
 }
 
+// Inverse permutation of one shape: gather[j] is the input bit the
+// interleaver sends to output position j.
+template <int kCbps, int kBpsc>
+constexpr std::array<std::uint16_t, kCbps> make_gather_table() {
+  std::array<std::uint16_t, kCbps> gather{};
+  for (int k = 0; k < kCbps; ++k) {
+    gather[static_cast<std::size_t>(interleaver_position(k, kCbps, kBpsc))] =
+        static_cast<std::uint16_t>(k);
+  }
+  return gather;
+}
+
+template <int kCbps, int kBpsc>
+void gather_map(std::span<const std::uint8_t> coded,
+                std::span<const Cx> constellation, Cx* out) {
+  static constexpr auto kGather = make_gather_table<kCbps, kBpsc>();
+  for (const std::uint8_t* symbol = coded.data();
+       symbol != coded.data() + coded.size(); symbol += kCbps) {
+    const std::uint16_t* gather = kGather.data();
+    for (int j = 0; j < kCbps / kBpsc; ++j, gather += kBpsc) {
+      unsigned idx = 0;
+#pragma GCC unroll 6
+      for (int b = 0; b < kBpsc; ++b) {
+        idx = (idx << 1) | (symbol[gather[b]] & 1U);
+      }
+      *out++ = constellation[idx];
+    }
+  }
+}
+
 }  // namespace
+
+void interleave_map_into(std::span<const std::uint8_t> coded, const Mcs& mcs,
+                         std::span<Cx> cells) {
+  const auto n_cbps = static_cast<std::size_t>(mcs.n_cbps);
+  if (coded.size() % n_cbps != 0 ||
+      cells.size() != coded.size() / static_cast<std::size_t>(mcs.n_bpsc)) {
+    throw std::invalid_argument("interleave_map_into: size mismatch");
+  }
+  const std::span<const Cx> points = constellation(mcs.modulation);
+  switch (mcs.modulation) {
+    case Modulation::kBpsk:
+      return gather_map<48, 1>(coded, points, cells.data());
+    case Modulation::kQpsk:
+      return gather_map<96, 2>(coded, points, cells.data());
+    case Modulation::kQam16:
+      return gather_map<192, 4>(coded, points, cells.data());
+    case Modulation::kQam64:
+      return gather_map<288, 6>(coded, points, cells.data());
+  }
+}
 
 std::span<const int> interleaver_permutation_cached(int n_cbps, int n_bpsc) {
   static const std::vector<int> bpsk = interleaver_permutation(48, 1);

@@ -1,7 +1,14 @@
 #include "phy/receiver.h"
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "common/crc32.h"
 #include "obs/flight/flight.h"
@@ -59,10 +66,65 @@ std::optional<SignalField> decode_signal_symbol(
   demod_row_llrs(points, Modulation::kBpsk,
                  data_llr_weights(channel, noise_var, Modulation::kBpsk),
                  nullptr, ws.llrs);
-  deinterleave_symbol_llrs_into(ws.llrs, bpsk, ws.deint);
-  shared_decoder().decode(ws.deint, /*terminated=*/true, ws.viterbi,
+  deinterleave_symbol_llrs_into(ws.llrs, bpsk, ws.mother);
+  shared_decoder().decode(ws.mother, /*terminated=*/true, ws.viterbi,
                           ws.scrambled);
   return parse_signal_bits(std::span(ws.scrambled).first(24));
+}
+
+// Packed mother-code bits of eight information bits (A0 in bit 0, B0 in
+// bit 1, ... B7 in bit 15): from each state with zero input, and from
+// state 0 for each input octet. The code is linear, so the step for
+// (state, input) is the XOR of the two.
+struct MotherStep {
+  std::array<std::uint16_t, kNumStates> from_state;
+  std::array<std::uint16_t, 256> from_input;
+};
+
+constexpr std::uint16_t mother_bits8(unsigned state, unsigned input) {
+  unsigned bits = 0;
+  for (unsigned i = 0; i < 8; ++i) {
+    const unsigned window = (((input >> i) & 1U) << 6) | state;
+    bits |= static_cast<unsigned>(conv_window_output(window)) << (2 * i);
+    state = window >> 1;
+  }
+  return static_cast<std::uint16_t>(bits);
+}
+
+constexpr MotherStep kMotherStep = [] {
+  MotherStep t{};
+  for (unsigned s = 0; s < kNumStates; ++s) {
+    t.from_state[s] = mother_bits8(s, 0);
+  }
+  for (unsigned x = 0; x < 256; ++x) t.from_input[x] = mother_bits8(0, x);
+  return t;
+}();
+
+// Bit k of `negative` is llrs[k] < 0 (the hard decision), of `nonzero`
+// llrs[k] != 0 (not an erasure; NaN counts as nonzero), for k < 16.
+struct LlrMasks {
+  unsigned negative = 0;
+  unsigned nonzero = 0;
+};
+
+inline LlrMasks llr_masks16(const double* llrs) {
+  LlrMasks m;
+#if defined(__SSE2__)
+  const __m128d zero = _mm_setzero_pd();
+  for (unsigned k = 0; k < 16; k += 2) {
+    const __m128d v = _mm_loadu_pd(llrs + k);
+    m.negative |=
+        static_cast<unsigned>(_mm_movemask_pd(_mm_cmplt_pd(v, zero))) << k;
+    m.nonzero |=
+        static_cast<unsigned>(_mm_movemask_pd(_mm_cmpneq_pd(v, zero))) << k;
+  }
+#else
+  for (unsigned k = 0; k < 16; ++k) {
+    m.negative |= static_cast<unsigned>(llrs[k] < 0.0) << k;
+    m.nonzero |= static_cast<unsigned>(llrs[k] != 0.0) << k;
+  }
+#endif
+  return m;
 }
 
 }  // namespace
@@ -110,21 +172,51 @@ void hard_decisions_into(std::span<const double> llrs, Bits& out) {
 }
 
 std::uint64_t count_corrected_bits(std::span<const std::uint8_t> decoded,
-                                   CodeRate rate,
-                                   std::span<const double> decoder_input,
-                                   PhyWorkspace& ws) {
-  convolutional_encode_into(decoded, ws.recode_mother);
-  puncture_into(ws.recode_mother, rate, ws.recoded);
-  const std::size_t n = std::min(ws.recoded.size(), decoder_input.size());
-  const std::uint8_t* recoded = ws.recoded.data();
-  const double* llr = decoder_input.data();
+                                   std::span<const double> mother_llrs) {
+  const std::size_t n = std::min(2 * decoded.size(), mother_llrs.size());
   std::uint64_t corrected = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int hard = llr[i] < 0.0 ? 1 : 0;
-    corrected += static_cast<std::uint64_t>((llr[i] != 0.0) &
-                                            (hard != recoded[i]));
+  unsigned state = 0;
+  std::size_t m = 0;
+  for (; m + 16 <= n; m += 16) {
+    const unsigned input = pack_octet(decoded.data() + m / 2);
+    const unsigned mother =
+        kMotherStep.from_state[state] ^ kMotherStep.from_input[input];
+    state = input >> 2;
+    const LlrMasks masks = llr_masks16(mother_llrs.data() + m);
+    corrected += static_cast<std::uint64_t>(
+        std::popcount((mother ^ masks.negative) & masks.nonzero));
+  }
+  // The last few mother bits, one information bit at a time.
+  for (std::size_t i = m / 2; 2 * i < n; ++i) {
+    const unsigned window = ((decoded[i] & 1U) << 6) | state;
+    const unsigned ab = conv_window_output(window);
+    state = window >> 1;
+    for (std::size_t j = 0; j < 2 && 2 * i + j < n; ++j) {
+      const double v = mother_llrs[2 * i + j];
+      corrected += static_cast<std::uint64_t>(
+          (v != 0.0) & ((v < 0.0 ? 1U : 0U) != ((ab >> j) & 1U)));
+    }
   }
   return corrected;
+}
+
+void descramble_psdu_into(std::span<const std::uint8_t> decoded,
+                          std::uint8_t scrambler_seed,
+                          std::size_t length_octets, Bytes& psdu) {
+  constexpr std::size_t kServiceOctets = kServiceBits / 8;
+  if (decoded.size() / 8 < kServiceOctets + length_octets) {
+    throw std::invalid_argument("descramble_psdu_into: too few bits");
+  }
+  const std::span<const std::uint8_t> key =
+      Scrambler::keystream_cached(scrambler_seed);
+  psdu.resize(length_octets);
+  const std::uint8_t* bits = decoded.data() + kServiceBits;
+  std::size_t phase = kServiceOctets;
+  for (std::uint8_t& octet : psdu) {
+    octet = static_cast<std::uint8_t>(pack_octet(bits) ^ key[phase]);
+    bits += 8;
+    if (++phase == Scrambler::kKeystreamPeriod) phase = 0;
+  }
 }
 
 CxVec equalize_data_points(std::span<const Cx> bins64,
@@ -356,19 +448,17 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
   OBS_COUNT_N("cos.erasures_injected", erased_bits);
 
   {
+    // Deinterleaving and depuncturing are one gather pass, timed as the
+    // deinterleaver.
     OBS_SPAN("phy.rx.deinterleave");
-    deinterleave_llrs_into(ws.llrs, mcs, ws.deint);
+    deinterleave_depuncture_into(ws.llrs, mcs, ws.mother);
   }
-  hard_decisions_into(ws.deint, result.decoder_input_hard);
 
-  const auto info_bits = static_cast<std::size_t>(n_sym) *
-                         static_cast<std::size_t>(mcs.n_dbps);
   // The DATA field's pad bits are scrambled and therefore nonzero, so the
   // encoder does NOT finish in the all-zero state (only the tail bits are
   // re-zeroed, and padding follows them). Trace back from the best state.
   {
     OBS_SPAN("phy.rx.viterbi");
-    depuncture_llrs_into(ws.deint, mcs.code_rate, info_bits * 2, ws.mother);
     shared_decoder().decode_fixed(ws.mother, /*terminated=*/false, ws.viterbi,
                                   ws.scrambled);
     OBS_COUNT_N("phy.rx.viterbi.items", ws.scrambled.size());
@@ -377,8 +467,7 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
 
 #if SILENCE_OBS_ON
   {
-    const std::uint64_t corrected =
-        count_corrected_bits(scrambled, mcs.code_rate, ws.deint, ws);
+    const std::uint64_t corrected = count_corrected_bits(scrambled, ws.mother);
     OBS_COUNT_N("cos.bits_corrected", corrected);
     // Flight: a = corrected bits, b = erased bits fed in, u = decoded
     // bit count — the EVD workload of this packet in one event.
@@ -396,15 +485,14 @@ DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
     return result;  // hopelessly corrupt
   }
   result.scrambler_seed = seed;
-  {
-    OBS_SPAN("phy.rx.descramble");
-    Scrambler::apply_with_seed_into(seed, scrambled, result.info_bits);
-  }
 
   const std::size_t psdu_bits = 8 * static_cast<std::size_t>(length_octets);
-  if (result.info_bits.size() < kServiceBits + psdu_bits) return result;
-  result.psdu = bits_to_bytes(
-      std::span(result.info_bits).subspan(kServiceBits, psdu_bits));
+  if (scrambled.size() < kServiceBits + psdu_bits) return result;
+  {
+    OBS_SPAN("phy.rx.descramble");
+    descramble_psdu_into(scrambled, seed,
+                         static_cast<std::size_t>(length_octets), result.psdu);
+  }
   result.crc_ok = check_fcs(result.psdu);
   FLIGHT_EVENT("rx.crc", obs::flight::kNoIndex, obs::flight::kNoIndex,
                result.psdu.size(), 0.0, result.crc_ok ? 1 : 0);

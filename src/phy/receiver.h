@@ -52,13 +52,6 @@ struct DecodeResult {
   // Equalized data constellation points per symbol (48 each), for EVM
   // computation and symbol-error analysis.
   SymbolGrid eq_data{kNumDataSubcarriers};
-  // Hard decisions of the coded stream in pre-interleave (deinterleaved)
-  // order, one per transmitted coded bit; silence-masked symbols still
-  // contribute their (meaningless) hard bits here, callers that measure
-  // decoder-input BER should skip masked positions.
-  Bits decoder_input_hard;
-  // Descrambled information bits (SERVICE + PSDU + tail + pad).
-  Bits info_bits;
   // Scrambler seed recovered from the SERVICE field (0 when decoding
   // failed before that point). Needed to reconstruct the transmitted
   // constellation points for EVM computation.
@@ -67,6 +60,11 @@ struct DecodeResult {
 
 // Demodulates, deinterleaves, depunctures, Viterbi-decodes, descrambles
 // and CRC-checks the data symbols. `silence` may be null (plain 802.11a).
+// The decoder input (deinterleaved, depunctured LLRs in mother-code
+// order, erasures and punctured positions as zeros) is left in
+// ws.mother: callers that measure decoder-input BER take hard decisions
+// there (puncture() restores the transmitted coded-bit order), skipping
+// silence-masked positions.
 DecodeResult decode_data_symbols(const FrontEndResult& fe, const Mcs& mcs,
                                  int length_octets,
                                  const SilenceMask* silence = nullptr);
@@ -103,14 +101,26 @@ std::size_t demap_data_symbols(const SymbolGrid& eq_data,
 void hard_decisions_into(std::span<const double> llrs, Bits& out);
 
 // Corrected-bit diagnostic (paper §"erasure Viterbi decoding"): the
-// decoder output `decoded` re-encoded at `rate` (into ws.recode_mother and
-// ws.recoded) and compared with the hard decisions of the decoder input it
-// was fed. Returns the mismatches at non-erased (nonzero) positions: the
-// channel errors plus silence erasures the code absorbed.
+// decoder output `decoded` re-encoded at rate 1/2 and compared with the
+// hard decisions of the mother-code decoder input it was fed. Returns the
+// mismatches at non-erased (nonzero) positions over the shorter of
+// 2 * decoded.size() and mother_llrs.size(): the channel errors plus
+// silence erasures the code absorbed. Punctured positions carry zero
+// LLRs, so this equals the count over the punctured stream
+// (bit_reference::corrected_bits). One word-wide pass: eight decoded bits
+// re-encode per table step into 16 packed mother bits, which meet the
+// sign and nonzero masks of their 16 LLRs.
 std::uint64_t count_corrected_bits(std::span<const std::uint8_t> decoded,
-                                   CodeRate rate,
-                                   std::span<const double> decoder_input,
-                                   PhyWorkspace& ws);
+                                   std::span<const double> mother_llrs);
+
+// The PSDU in a decoder output: octets [2, 2 + length_octets) of the
+// DATA field (after SERVICE), each packed from eight decoded bits and
+// descrambled against the `scrambler_seed` keystream in one pass.
+// `decoded` must hold at least 16 + 8 * length_octets bits; only bit 0
+// of each counts. Equal to bit_reference::descramble_psdu().
+void descramble_psdu_into(std::span<const std::uint8_t> decoded,
+                          std::uint8_t scrambler_seed,
+                          std::size_t length_octets, Bytes& psdu);
 
 // Equalizes one raw 64-bin symbol to the 48 logical data points.
 // Bins with a near-zero channel estimate equalize to 0.

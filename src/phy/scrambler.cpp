@@ -1,6 +1,5 @@
 #include "phy/scrambler.h"
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstring>
@@ -40,66 +39,61 @@ Bits Scrambler::sequence(std::uint8_t seed, std::size_t length) {
 
 namespace {
 
-constexpr std::size_t kPeriod = 127;
-// Bytes XORed per block step: period tables carry this many bits past
-// one period, so a block starting at any phase reads contiguous bits.
-constexpr std::size_t kBlock = 8;
+// Keystream octets per seed plus the seven wrapped ones.
+constexpr std::size_t kKeystreamSize = Scrambler::kKeystreamPeriod + 7;
 
-// One period plus kBlock - 1 wrapped bits for `seed`, served from a
-// process-wide table built lazily per seed. One slot per 7-bit seed,
-// built once under the mutex and published with release semantics (same
-// pattern as fft_plan's cache).
-const Bits& extended_period(std::uint8_t seed) {
-  static std::array<std::atomic<const Bits*>, 128> slots{};
+// One slot per 7-bit seed, built once under the mutex and published with
+// release semantics (same pattern as fft_plan's cache).
+const std::uint8_t* keystream_for(std::uint8_t seed) {
+  static std::array<std::atomic<const std::uint8_t*>, 128> slots{};
   static std::mutex build_mutex;
   const auto idx = static_cast<std::size_t>(seed & 0x7FU);
   if (idx == 0) {
     throw std::invalid_argument("Scrambler: seed must be non-zero");
   }
-  const Bits* period = slots[idx].load(std::memory_order_acquire);
-  if (period == nullptr) {
+  const std::uint8_t* octets = slots[idx].load(std::memory_order_acquire);
+  if (octets == nullptr) {
     const std::lock_guard<std::mutex> lock(build_mutex);
-    period = slots[idx].load(std::memory_order_acquire);
-    if (period == nullptr) {
-      period = new Bits(Scrambler::sequence(seed, kPeriod + kBlock - 1));
-      slots[idx].store(period, std::memory_order_release);
+    octets = slots[idx].load(std::memory_order_acquire);
+    if (octets == nullptr) {
+      const Bits bits = Scrambler::sequence(seed, 8 * kKeystreamSize);
+      auto* table = new std::uint8_t[kKeystreamSize];
+      for (std::size_t k = 0; k < kKeystreamSize; ++k) {
+        table[k] = pack_octet(bits.data() + 8 * k);
+      }
+      octets = table;
+      slots[idx].store(octets, std::memory_order_release);
     }
   }
-  return *period;
+  return octets;
 }
 
 }  // namespace
 
-std::span<const std::uint8_t> Scrambler::period_cached(std::uint8_t seed) {
-  return std::span(extended_period(seed)).first(kPeriod);
+std::span<const std::uint8_t> Scrambler::keystream_cached(std::uint8_t seed) {
+  return {keystream_for(seed), kKeystreamSize};
 }
 
-void Scrambler::apply_with_seed_into(std::uint8_t seed,
-                                     std::span<const std::uint8_t> bits,
-                                     Bits& out) {
-  const std::uint8_t* pn = extended_period(seed).data();
-  out.resize(bits.size());
-  const std::uint8_t* in = bits.data();
-  std::uint8_t* dst = out.data();
-  const std::size_t n = bits.size();
-  // kBlock bits per step as one 64-bit XOR; the mask keeps each byte's
-  // low bit, as the per-bit `(b ^ pn) & 1` does.
-  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+void Scrambler::xor_keystream(std::uint8_t seed, std::size_t first_octet,
+                              std::span<std::uint8_t> octets) {
+  const std::uint8_t* key = keystream_for(seed);
+  std::uint8_t* dst = octets.data();
+  const std::size_t n = octets.size();
+  std::size_t phase = first_octet % kKeystreamPeriod;
   std::size_t i = 0;
-  std::size_t phase = 0;
-  for (; i + kBlock <= n; i += kBlock) {
+  for (; i + 8 <= n; i += 8) {
     std::uint64_t word;
-    std::uint64_t key;
-    std::memcpy(&word, in + i, kBlock);
-    std::memcpy(&key, pn + phase, kBlock);
-    word = (word ^ key) & kLowBits;
-    std::memcpy(dst + i, &word, kBlock);
-    phase += kBlock;
-    if (phase >= kPeriod) phase -= kPeriod;
+    std::uint64_t k;
+    std::memcpy(&word, dst + i, 8);
+    std::memcpy(&k, key + phase, 8);
+    word ^= k;
+    std::memcpy(dst + i, &word, 8);
+    phase += 8;
+    if (phase >= kKeystreamPeriod) phase -= kKeystreamPeriod;
   }
   for (; i < n; ++i) {
-    dst[i] = static_cast<std::uint8_t>((in[i] ^ pn[phase]) & 1U);
-    if (++phase == kPeriod) phase = 0;
+    dst[i] ^= key[phase];
+    if (++phase == kKeystreamPeriod) phase = 0;
   }
 }
 
@@ -107,18 +101,27 @@ std::uint8_t Scrambler::recover_seed(std::span<const std::uint8_t> first7) {
   if (first7.size() < 7) {
     throw std::invalid_argument("recover_seed: need 7 bits");
   }
-  for (std::uint8_t seed = 1; seed < 128; ++seed) {
-    Scrambler s(seed);
-    bool match = true;
-    for (int i = 0; i < 7; ++i) {
-      if (s.next() != (first7[static_cast<std::size_t>(i)] & 1U)) {
-        match = false;
-        break;
-      }
+  // seed_for[v] = the state whose first seven outputs, first bit in bit
+  // 6, read v. No two states share a prefix (the register ends up holding
+  // the seven bits it emitted), so every non-zero v has exactly one seed.
+  static const std::array<std::uint8_t, 128> seed_for = [] {
+    std::array<std::uint8_t, 128> table{};
+    for (int seed = 1; seed < 128; ++seed) {
+      Scrambler s(static_cast<std::uint8_t>(seed));
+      unsigned v = 0;
+      for (int i = 0; i < 7; ++i) v = (v << 1) | s.next();
+      table[v] = static_cast<std::uint8_t>(seed);
     }
-    if (match) return seed;
+    return table;
+  }();
+  unsigned v = 0;
+  for (int i = 0; i < 7; ++i) {
+    v = (v << 1) | (first7[static_cast<std::size_t>(i)] & 1U);
   }
-  throw std::runtime_error("recover_seed: no state matches (corrupt input)");
+  if (seed_for[v] == 0) {
+    throw std::runtime_error("recover_seed: no state matches (corrupt input)");
+  }
+  return seed_for[v];
 }
 
 }  // namespace silence

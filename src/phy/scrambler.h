@@ -21,31 +21,37 @@ class Scrambler {
   std::uint8_t next();
 
   // XORs the PN sequence onto `bits` (works for scramble and descramble),
-  // stepping the register once per bit. The chains use
-  // apply_with_seed_into(); this is its reference.
+  // stepping the register once per bit. The chains XOR octets against
+  // keystream_cached() instead; this is their per-bit reference.
   Bits apply(std::span<const std::uint8_t> bits);
 
   // 127-bit repeating sequence generated from `seed` (handy for tests and
   // for the pilot polarity sequence).
   static Bits sequence(std::uint8_t seed, std::size_t length);
 
-  // One period (127 bits) of the PN sequence for `seed`, served from a
-  // process-wide table built lazily per seed. The span stays valid for
-  // the process lifetime.
-  static std::span<const std::uint8_t> period_cached(std::uint8_t seed);
+  // The `seed` PN sequence packed LSB-first into octets: octet k holds
+  // sequence bits 8k .. 8k+7, bit 0 first. 127 octets are exactly eight
+  // 127-bit periods, so keystream octet k is entry k % kKeystreamPeriod.
+  // The span holds kKeystreamPeriod + 7 entries (the first seven
+  // repeated), so an 8-octet read at any phase stays inside it. Built
+  // lazily once per seed and valid for the process lifetime; throws for
+  // seed 0.
+  static constexpr std::size_t kKeystreamPeriod = 127;
+  static std::span<const std::uint8_t> keystream_cached(std::uint8_t seed);
 
-  // XORs the `seed` PN sequence onto `bits` without stepping the register
-  // bit by bit (the cached period, eight bits per 64-bit XOR). Bit-identical
-  // to Scrambler(seed).apply(bits); `out` is resized to match and its
-  // capacity is reused across calls. Both chains scramble and descramble
-  // through this.
-  static void apply_with_seed_into(std::uint8_t seed,
-                                   std::span<const std::uint8_t> bits,
-                                   Bits& out);
+  // XORs the keystream onto packed `octets`, octet k against keystream
+  // octet (first_octet + k) % kKeystreamPeriod, eight octets per 64-bit
+  // XOR. Equal to apply() on the unpacked bits starting at sequence bit
+  // 8 * first_octet.
+  static void xor_keystream(std::uint8_t seed, std::size_t first_octet,
+                            std::span<std::uint8_t> octets);
 
   // Recovers the transmitter seed from the first 7 descrambler-input bits,
   // assuming the plaintext bits were zero (the SERVICE field's scrambler
-  //-init bits). Returns the state that generates those 7 bits.
+  //-init bits). Returns the state that generates those 7 bits: after
+  // seven steps the register holds exactly the seven bits it emitted, so
+  // the seed is one lookup in a 128-entry table. Throws when the bits are
+  // all zero (no non-zero state emits them).
   static std::uint8_t recover_seed(std::span<const std::uint8_t> first7);
 
  private:

@@ -1,12 +1,11 @@
 #include "phy/transmitter.h"
 
+#include <algorithm>
 #include <array>
 #include <stdexcept>
 
 #include "obs/obs.h"
-#include "phy/convolutional.h"
 #include "phy/interleaver.h"
-#include "phy/modulation.h"
 #include "phy/ofdm.h"
 #include "phy/preamble.h"
 #include "phy/puncture.h"
@@ -18,6 +17,12 @@ namespace silence {
 namespace {
 constexpr int kServiceBits = 16;
 constexpr int kTailBits = 6;
+constexpr std::size_t kServiceOctets = kServiceBits / 8;
+constexpr std::size_t kMaxPsduOctets = 4095;
+// Largest DATA field in octets: the largest PSDU plus SERVICE, tail and
+// at most one symbol of pad (n_dbps <= 216 bits).
+constexpr std::size_t kMaxDataOctets =
+    (kServiceBits + 8 * kMaxPsduOctets + kTailBits + 215 + 7) / 8;
 }  // namespace
 
 double TxFrame::airtime_sec() const {
@@ -34,7 +39,7 @@ int symbols_for_psdu(std::size_t psdu_octets, const Mcs& mcs) {
 
 TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
                     std::uint8_t scrambler_seed) {
-  if (psdu.empty() || psdu.size() > 4095) {
+  if (psdu.empty() || psdu.size() > kMaxPsduOctets) {
     throw std::invalid_argument("build_frame: PSDU must be 1..4095 octets");
   }
   OBS_SPAN("phy.tx.frame");
@@ -48,46 +53,40 @@ TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
   const int n_sym = symbols_for_psdu(psdu.size(), mcs);
   const auto total_bits =
       static_cast<std::size_t>(n_sym) * static_cast<std::size_t>(mcs.n_dbps);
+  const std::size_t coded_bits =
+      static_cast<std::size_t>(n_sym) * static_cast<std::size_t>(mcs.n_cbps);
 
-  // SERVICE (16 zero bits: 7 scrambler-init + 9 reserved) + PSDU + tail +
-  // pad, then scramble everything and re-zero the tail so the encoder
-  // terminates in state 0 (802.11a 17.3.5.2). The PSDU is unpacked in
-  // place, LSB of each octet first (as bytes_to_bits).
-  Bits plain(total_bits, 0);
-  std::uint8_t* psdu_bits = plain.data() + kServiceBits;
-  for (const std::uint8_t octet : psdu) {
-    for (int i = 0; i < 8; ++i) {
-      *psdu_bits++ = static_cast<std::uint8_t>((octet >> i) & 1U);
-    }
-  }
-
+  // The DATA field packed LSB-first (as the PSDU's octets already are):
+  // SERVICE (16 zero bits: 7 scrambler-init + 9 reserved), the PSDU, then
+  // zeros for tail and pad. Everything is scrambled, then the six tail
+  // bits (bits 0..5 of the octet after the PSDU) are re-zeroed so the
+  // encoder terminates in state 0 (802.11a 17.3.5.2).
+  std::array<std::uint8_t, kMaxDataOctets> data;
+  const std::size_t data_octets = (total_bits + 7) / 8;
   {
     OBS_SPAN("phy.tx.scramble");
-    Scrambler::apply_with_seed_into(scrambler_seed, plain, frame.data_bits);
-    OBS_COUNT_N("phy.tx.scramble.items", frame.data_bits.size());
+    std::fill_n(data.begin(), kServiceOctets, std::uint8_t{0});
+    std::copy(psdu.begin(), psdu.end(), data.begin() + kServiceOctets);
+    std::fill(data.begin() + kServiceOctets + psdu.size(),
+              data.begin() + data_octets, std::uint8_t{0});
+    Scrambler::xor_keystream(scrambler_seed, 0,
+                             std::span(data).first(data_octets));
+    data[kServiceOctets + psdu.size()] &= 0xC0U;
+    OBS_COUNT_N("phy.tx.scramble.items", total_bits);
   }
-  const std::size_t tail_at = kServiceBits + 8 * psdu.size();
-  for (int i = 0; i < kTailBits; ++i) frame.data_bits[tail_at + static_cast<std::size_t>(i)] = 0;
-
   {
     OBS_SPAN("phy.tx.encode");
-    const Bits mother = convolutional_encode(frame.data_bits);
-    puncture_into(mother, mcs.code_rate, frame.coded_bits);
-    OBS_COUNT_N("phy.tx.encode.items", frame.data_bits.size());
-  }
-
-  Bits interleaved;
-  {
-    OBS_SPAN("phy.tx.interleave");
-    interleaved = interleave(frame.coded_bits, mcs);
-    OBS_COUNT_N("phy.tx.interleave.items", interleaved.size());
+    frame.coded_bits.resize(coded_bits);
+    encode_punctured(std::span(data).first(data_octets), total_bits,
+                     mcs.code_rate, frame.coded_bits);
+    OBS_COUNT_N("phy.tx.encode.items", total_bits);
   }
   {
+    // Interleaving and mapping are one gather pass, timed as the map.
     OBS_SPAN("phy.tx.map");
-    // Map straight into the flat grid storage: one allocation for the
-    // whole frame, no per-symbol rows.
     frame.data_grid.resize(static_cast<std::size_t>(n_sym));
-    map_bits_into(interleaved, mcs.modulation, frame.data_grid.cells());
+    interleave_map_into(frame.coded_bits, mcs, frame.data_grid.cells());
+    OBS_COUNT_N("phy.tx.interleave.items", coded_bits);
     OBS_COUNT_N("phy.tx.map.items", frame.data_grid.cells().size());
   }
   OBS_COUNT_N("phy.tx.symbols", n_sym);
@@ -112,13 +111,18 @@ CxVec frame_to_samples(const TxFrame& frame) {
   // temporaries are scoped so they are freed before the data symbols.
   std::array<Cx, kFftSize> bins;
   {
-    const Mcs& bpsk = mcs_for_rate(6);
     const Bits signal_bits =
         encode_signal_bits(*frame.mcs, static_cast<int>(frame.psdu_octets));
-    const Bits signal_coded = convolutional_encode(signal_bits);
-    const Bits signal_inter = interleave(signal_coded, bpsk);
+    std::array<std::uint8_t, 3> signal_octets;
+    for (std::size_t k = 0; k < signal_octets.size(); ++k) {
+      signal_octets[k] = pack_octet(signal_bits.data() + 8 * k);
+    }
+    // 24 bits at rate 1/2: one BPSK bit per data subcarrier.
+    std::array<std::uint8_t, kNumDataSubcarriers> signal_coded;
+    encode_punctured(signal_octets, signal_bits.size(), CodeRate::kRate1of2,
+                     signal_coded);
     std::array<Cx, kNumDataSubcarriers> signal_points;
-    map_bits_into(signal_inter, Modulation::kBpsk, signal_points);
+    interleave_map_into(signal_coded, mcs_for_rate(6), signal_points);
     assemble_frequency_bins_into(signal_points, 0, bins);
     bins_to_time_into(bins, out.subspan(kPreambleSamples, kSymbolSamples));
   }

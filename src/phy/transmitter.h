@@ -22,8 +22,6 @@ struct TxFrame {
   McsId mcs;  // invalid when default-constructed
   std::uint8_t scrambler_seed = 0;
   std::size_t psdu_octets = 0;
-  // Scrambled DATA bits (SERVICE + PSDU + tail + pad), tail re-zeroed.
-  Bits data_bits;
   // Punctured coded stream in pre-interleave order, n_symbols * n_cbps.
   Bits coded_bits;
   // Per-OFDM-symbol constellation points (48 each, logical subcarrier
@@ -38,6 +36,11 @@ struct TxFrame {
 
 // Builds the frame for a PSDU (the PSDU should already carry its FCS; see
 // common/crc32.h helpers). Throws when the PSDU exceeds 4095 octets.
+// Octets in, symbol grid out, with no bit-per-byte stream but
+// coded_bits: the DATA field is scrambled as octets against the cached
+// keystream, encoded and punctured by encode_punctured() and gathered
+// straight into the grid by interleave_map_into(). Equal to
+// bit_reference::build_frame_bits().
 TxFrame build_frame(std::span<const std::uint8_t> psdu, const Mcs& mcs,
                     std::uint8_t scrambler_seed = 0x5D);
 

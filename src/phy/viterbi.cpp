@@ -291,27 +291,44 @@ std::span<const AcsKernel> acs_kernels() {
 
 const AcsKernel& acs_kernel() { return kernel_list().kernels[0]; }
 
-bool quantize_llrs_finite(std::span<const double> llrs,
-                          std::span<std::int16_t> out) {
-#if defined(__SSE2__)
+#if defined(__x86_64__) || defined(__i386__)
+namespace {
+
+// s = v * scale; trunc(s + (s >= 0 ? 0.5 : -0.5)) for four LLRs at p.
+__attribute__((target("avx2"), always_inline)) inline __m128i round4(
+    const double* p, __m256d scale4) {
+  const __m256d s = _mm256_mul_pd(_mm256_loadu_pd(p), scale4);
+  const __m256d half =
+      _mm256_blendv_pd(_mm256_set1_pd(-0.5), _mm256_set1_pd(0.5),
+                       _mm256_cmp_pd(s, _mm256_setzero_pd(), _CMP_GE_OQ));
+  return _mm256_cvttpd_epi32(_mm256_add_pd(s, half));
+}
+
+// quantize_llrs_finite's AVX2 body: four LLRs per register.
+__attribute__((target("avx2"))) bool quantize_avx2(
+    std::span<const double> llrs, std::span<std::int16_t> out) {
   const std::size_t n = llrs.size();
   const double* v = llrs.data();
   // Block maximum of |v| and a finiteness check in one pass: |v| <= DBL_MAX
   // is false exactly for +-inf and NaN.
-  const __m128d abs_mask =
-      _mm_castsi128_pd(_mm_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
-  const __m128d finite_max = _mm_set1_pd(std::numeric_limits<double>::max());
-  __m128d max2 = _mm_setzero_pd();
-  __m128d finite2 = _mm_castsi128_pd(_mm_set1_epi32(-1));
+  const __m256d abs_mask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7FFFFFFFFFFFFFFFLL));
+  const __m256d finite_max =
+      _mm256_set1_pd(std::numeric_limits<double>::max());
+  __m256d max4 = _mm256_setzero_pd();
+  __m256d finite4 = _mm256_castsi256_pd(_mm256_set1_epi32(-1));
   std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d a = _mm_and_pd(_mm_loadu_pd(v + i), abs_mask);
-    finite2 = _mm_and_pd(finite2, _mm_cmple_pd(a, finite_max));
-    max2 = _mm_max_pd(max2, a);
+  for (; i + 4 <= n; i += 4) {
+    const __m256d a = _mm256_and_pd(_mm256_loadu_pd(v + i), abs_mask);
+    finite4 =
+        _mm256_and_pd(finite4, _mm256_cmp_pd(a, finite_max, _CMP_LE_OQ));
+    max4 = _mm256_max_pd(max4, a);
   }
-  if (_mm_movemask_pd(finite2) != 3) return false;
-  double max_abs = std::max(_mm_cvtsd_f64(max2),
-                            _mm_cvtsd_f64(_mm_unpackhi_pd(max2, max2)));
+  if (_mm256_movemask_pd(finite4) != 0xF) return false;
+  alignas(32) double lanes[4];
+  _mm256_store_pd(lanes, max4);
+  double max_abs = std::max(std::max(lanes[0], lanes[1]),
+                            std::max(lanes[2], lanes[3]));
   for (; i < n; ++i) {
     const double a = std::fabs(v[i]);
     if (!(a <= std::numeric_limits<double>::max())) return false;
@@ -326,36 +343,70 @@ bool quantize_llrs_finite(std::span<const double> llrs,
   // s = v * scale; q = trunc(s + (s >= 0 ? 0.5 : -0.5)); clamp. Eight
   // values per step: cvttpd truncates like the scalar int conversion, and
   // |s| <= kQuantMax + 0.5 keeps every value inside int16 before the clamp.
-  const __m128d scale2 = _mm_set1_pd(scale);
-  const __m128d zero = _mm_setzero_pd();
-  const __m128d plus_half = _mm_set1_pd(0.5);
-  const __m128d minus_half = _mm_set1_pd(-0.5);
-  const auto round2 = [&](const double* p) {
-    const __m128d s = _mm_mul_pd(_mm_loadu_pd(p), scale2);
-    const __m128d nonneg = _mm_cmpge_pd(s, zero);
-    const __m128d half = _mm_or_pd(_mm_and_pd(nonneg, plus_half),
-                                   _mm_andnot_pd(nonneg, minus_half));
-    return _mm_cvttpd_epi32(_mm_add_pd(s, half));
-  };
+  const __m256d scale4 = _mm256_set1_pd(scale);
   const __m128i hi = _mm_set1_epi16(ViterbiDecoder::kQuantMax);
   const __m128i lo = _mm_set1_epi16(-ViterbiDecoder::kQuantMax);
   std::int16_t* dst = out.data();
   i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m128i q0 = _mm_unpacklo_epi64(round2(v + i), round2(v + i + 2));
-    const __m128i q1 =
-        _mm_unpacklo_epi64(round2(v + i + 4), round2(v + i + 6));
-    const __m128i q = _mm_min_epi16(_mm_max_epi16(_mm_packs_epi32(q0, q1), lo),
-                                    hi);
+    const __m128i q = _mm_min_epi16(
+        _mm_max_epi16(_mm_packs_epi32(round4(v + i, scale4),
+                                      round4(v + i + 4, scale4)), lo),
+        hi);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i), q);
   }
   for (; i < n; ++i) dst[i] = quantize_finite(v[i], scale);
+  _mm256_zeroupper();
   return true;
-#else
+}
+
+bool cpu_has_avx2() {
+  static const bool yes = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx2") != 0;
+  }();
+  return yes;
+}
+
+}  // namespace
+#endif
+
+const char* quantize_kernel_name() {
+#if defined(__x86_64__) || defined(__i386__)
+  if (cpu_has_avx2()) return "avx2";
+#endif
+  return "scalar";
+}
+
+void quantize_llrs_scalar(std::span<const double> llrs,
+                          std::span<std::int16_t> out) {
+  constexpr int kQuantMax = ViterbiDecoder::kQuantMax;
+  double max_abs = 0.0;
+  for (const double v : llrs) {
+    const double a = std::fabs(v);
+    if (std::isfinite(a) && a > max_abs) max_abs = a;
+  }
+  const double scale = max_abs > 0.0 ? kQuantMax / max_abs : 0.0;
+  for (std::size_t i = 0; i < llrs.size(); ++i) {
+    const double v = llrs[i];
+    if (std::isnan(v)) {
+      out[i] = 0;
+    } else if (!std::isfinite(v)) {
+      out[i] = static_cast<std::int16_t>(v > 0.0 ? kQuantMax : -kQuantMax);
+    } else {
+      out[i] = quantize_finite(v, scale);
+    }
+  }
+}
+
+bool quantize_llrs_finite(std::span<const double> llrs,
+                          std::span<std::int16_t> out) {
+#if defined(__x86_64__) || defined(__i386__)
+  if (cpu_has_avx2()) return quantize_avx2(llrs, out);
+#endif
   (void)llrs;
   (void)out;
   return false;
-#endif
 }
 
 }  // namespace viterbi_kernels
@@ -447,23 +498,7 @@ void ViterbiDecoder::quantize_llrs(std::span<const double> llrs,
     throw std::invalid_argument("quantize_llrs: output size mismatch");
   }
   if (viterbi_kernels::quantize_llrs_finite(llrs, out)) return;
-  // Non-finite LLRs, or a scale that overflows: the reference loop.
-  double max_abs = 0.0;
-  for (const double v : llrs) {
-    const double a = std::fabs(v);
-    if (std::isfinite(a) && a > max_abs) max_abs = a;
-  }
-  const double scale = max_abs > 0.0 ? kQuantMax / max_abs : 0.0;
-  for (std::size_t i = 0; i < llrs.size(); ++i) {
-    const double v = llrs[i];
-    if (std::isnan(v)) {
-      out[i] = 0;
-    } else if (!std::isfinite(v)) {
-      out[i] = static_cast<std::int16_t>(v > 0.0 ? kQuantMax : -kQuantMax);
-    } else {
-      out[i] = quantize_finite(v, scale);
-    }
-  }
+  viterbi_kernels::quantize_llrs_scalar(llrs, out);
 }
 
 Bits ViterbiDecoder::decode_fixed(std::span<const double> llrs,

@@ -13,13 +13,14 @@
 //    the fixed-point path is property-tested against, and the exhaustive
 //    maximum-likelihood property tests hold against it to 1e-9).
 //  - decode_fixed(): the hot path. LLRs are block-normalized and rounded
-//    to int16 (|q| <= kQuantMax; an SSE2 pass when the block is finite,
-//    the scalar loop otherwise), metrics are int32, and the 32 trellis
-//    butterflies per step run branch-free in an add-compare-select kernel
-//    picked once per process: AVX2 (8 butterflies per register, metrics
-//    held in registers) when the CPU has it, else SSE2 (4 per register),
-//    else a portable loop; all three are exact integer arithmetic and
-//    agree bit for bit (phy/viterbi_kernels.h). For any
+//    to int16 (|q| <= kQuantMax; an AVX2 pass when the CPU has AVX2 and
+//    the block is finite, the scalar loop otherwise), metrics are int32,
+//    and the 32 trellis butterflies per step run branch-free in an
+//    add-compare-select kernel picked once per process: AVX2 (8
+//    butterflies per register, metrics held in registers) when the CPU
+//    has it, else SSE2 (4 per register), else a portable loop; all three
+//    are exact integer arithmetic and agree bit for bit
+//    (phy/viterbi_kernels.h). For any
 //    input of at most kMaxFixedSteps steps, decode_fixed(llrs) returns
 //    *bit-identical* output to decode() run on the quantized LLRs: with
 //    |q| <= 8191 and <= 49152 steps the int32 path metrics stay within
@@ -76,9 +77,10 @@ class ViterbiDecoder {
   // Block quantization used by decode_fixed: scales so the largest finite
   // |LLR| becomes kQuantMax, rounding half away from zero; zero stays
   // exactly zero (erasures remain erasures). `out.size()` must equal
-  // `llrs.size()`. All-finite blocks with a finite scale take an SSE2
-  // pass; NaN, +-inf or a scale that overflows (a subnormal maximum) take
-  // the scalar loop. Both give the same values.
+  // `llrs.size()`. All-finite blocks with a finite scale take an AVX2
+  // pass on CPUs that have it; NaN, +-inf, a scale that overflows (a
+  // subnormal maximum) or a CPU without AVX2 take the scalar loop. Both
+  // give the same values.
   static void quantize_llrs(std::span<const double> llrs,
                             std::span<std::int16_t> out);
 

@@ -49,13 +49,24 @@ std::span<const AcsKernel> acs_kernels();
 // per process by CPU feature detection.
 const AcsKernel& acs_kernel();
 
-// quantize_llrs()'s fast path. When every LLR is finite and
+// quantize_llrs()'s fast path, an AVX2 kernel (four LLRs per register)
+// run when the CPU has AVX2. When every LLR is finite and
 // kQuantMax / max|LLR| is finite (or the block is all zeros), writes the
 // quantized block, bit-identical to the scalar loop, and returns true.
 // Otherwise writes nothing and returns false, and quantize_llrs() runs
-// the scalar loop instead. Always false in builds without SSE2.
+// the scalar loop instead. Always false on CPUs without AVX2.
 // `out.size()` must equal `llrs.size()` (quantize_llrs() checks it).
 bool quantize_llrs_finite(std::span<const double> llrs,
+                          std::span<std::int16_t> out);
+
+// The quantizer quantize_llrs() tries first on this CPU: "avx2", or
+// "scalar" when quantize_llrs_finite() always declines.
+const char* quantize_kernel_name();
+
+// The scalar quantizer loop: quantize_llrs()'s fallback for non-finite
+// blocks, overflowing scales and CPUs without AVX2, and the reference its
+// fast path is timed against. `out.size()` must equal `llrs.size()`.
+void quantize_llrs_scalar(std::span<const double> llrs,
                           std::span<std::int16_t> out);
 
 }  // namespace silence::viterbi_kernels

@@ -33,16 +33,13 @@ struct PhyWorkspace {
   // Only the samples the receiver reads are written: the LTF after its
   // guard and each whole symbol's FFT body.
   CxVec corrected;
-  // RX: demapped LLR stream (symbol order) and its deinterleaved form.
+  // RX: demapped LLR stream (symbol order).
   std::vector<double> llrs;
-  std::vector<double> deint;
-  // RX: depunctured mother-code stream fed to the Viterbi decoder.
+  // RX: the decoder input, deinterleaved and depunctured (mother-code
+  // order, zeros at punctured and erased positions).
   Llrs mother;
   // RX: decoder output before descrambling.
   Bits scrambled;
-  // RX: re-encoded decoder output (observability's corrected-bit count).
-  Bits recode_mother;
-  Bits recoded;
   // RX/TX: Viterbi survivor storage and quantized branch metrics.
   ViterbiWorkspace viterbi;
 };

@@ -2,8 +2,8 @@
 //
 // This binary replaces the global operator new/delete with counting
 // versions (test-only; nothing in src/ knows about them) and asserts the
-// two properties the workspace refactor exists to provide, plus when the
-// RNG allocates its engine state:
+// properties the workspace refactor and the bit path exist to provide,
+// plus when the RNG allocates its engine state:
 //
 //  1. Per-symbol kernels (time<->bins transforms, equalization, the
 //     fixed-point Viterbi with a warm workspace) allocate *nothing*.
@@ -11,6 +11,10 @@
 //     allocations that does not depend on the number of OFDM symbols —
 //     result buffers are single flat allocations, so doubling the packet
 //     grows allocation *sizes* but not allocation *counts*.
+//  3. The bit stages allocate only what their results own: a warm
+//     build_frame makes exactly its coded stream and grid, a warm
+//     decode_data_symbols exactly its equalized grid and PSDU, with no
+//     per-stage bit buffer in between.
 //
 // The hooks live in this dedicated binary because replacing operator new
 // is a process-wide decision that must not leak into other test targets.
@@ -229,6 +233,49 @@ TEST(AllocCount, CosReceiveAllocationsIndependentOfSymbolCount) {
       n_sym(tx_large.samples) - n_sym(tx_small.samples);
   EXPECT_LE(n_large - n_small, 2 * extra_symbols)
       << "CoS RX must not allocate beyond the per-symbol detector mask";
+}
+
+TEST(AllocCount, WarmBuildFrameAllocatesOnlyItsResult) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  // Two allocations: TxFrame::coded_bits and TxFrame::data_grid. No
+  // unpacked, mother-code or interleaved stream, at any rate or length.
+  for (const Mcs& mcs : all_mcs()) {
+    for (const std::size_t octets : {5u, 120u, 1668u, 4095u}) {
+      const Bytes psdu = test_psdu(octets, octets);
+      (void)build_frame(psdu, mcs, 0x3C);  // first use builds the tables
+      const std::size_t n =
+          allocations_during([&] { (void)build_frame(psdu, mcs, 0x3C); });
+      EXPECT_EQ(n, 2u) << mcs.data_rate_mbps << " Mb/s, " << octets
+                       << " octets";
+    }
+  }
+}
+
+TEST(AllocCount, WarmDecodeAllocatesOnlyItsResult) {
+  if (kSanitized) GTEST_SKIP() << "allocation counts unreliable under sanitizers";
+  // Two allocations: DecodeResult::eq_data and DecodeResult::psdu. No
+  // hard-decision, descrambled or re-encoded stream, with or without a
+  // silence mask.
+  for (const Mcs& mcs : all_mcs()) {
+    const Bytes psdu = test_psdu(mcs.data_rate_mbps, 600);
+    const CxVec samples = frame_to_samples(build_frame(psdu, mcs));
+    PhyWorkspace ws;
+    const FrontEndResult fe = receiver_front_end(samples, ws);
+    ASSERT_TRUE(fe.signal.has_value());
+    const SilenceMask mask(fe.data_bins.size(),
+                           std::vector<std::uint8_t>(kNumDataSubcarriers, 0));
+    for (const SilenceMask* silence : {static_cast<const SilenceMask*>(nullptr),
+                                       &mask}) {
+      (void)decode_data_symbols(fe, mcs, static_cast<int>(psdu.size()),
+                                silence, ws);
+      const std::size_t n = allocations_during([&] {
+        const DecodeResult decode = decode_data_symbols(
+            fe, mcs, static_cast<int>(psdu.size()), silence, ws);
+        EXPECT_TRUE(decode.crc_ok);
+      });
+      EXPECT_EQ(n, 2u) << mcs.data_rate_mbps << " Mb/s";
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
 // Coding-chain kernels against the per-bit / per-point code they replace.
 //
-// The encoder, mapper, row demapper, cached-period scrambler and
-// puncturer are table or block kernels; each must equal its reference
-// exactly. The references below are the straightforward loops the chain
-// ran before (kept here as oracles), and every comparison is exact:
-// EXPECT_EQ on bits, memcmp on doubles (so -0.0 and NaN payloads count).
+// The bit path (scrambler keystream and seed recovery, encoder and
+// puncturer, interleaving mapper, fused deinterleave-depuncture,
+// corrected-bit count, PSDU descramble-and-pack, octet packing, CRC-32,
+// and build_frame and decode_data_symbols around them), the mapper and
+// the row demapper are table, block or word-wide kernels; each must
+// equal its reference exactly. The bit path's references are the per-bit
+// loops in phy/bit_reference.h; the demapper's are the brute-force
+// searches below.
+// Every comparison is exact: EXPECT_EQ on bits and octets, memcmp on
+// doubles and points (so -0.0 and NaN payloads count).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -13,13 +18,18 @@
 #include <limits>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
+#include "phy/bit_reference.h"
 #include "phy/convolutional.h"
+#include "phy/interleaver.h"
 #include "phy/modulation.h"
 #include "phy/params.h"
 #include "phy/puncture.h"
 #include "phy/receiver.h"
 #include "phy/scrambler.h"
+#include "phy/transmitter.h"
+#include "phy/viterbi.h"
 #include "phy/workspace.h"
 
 namespace silence {
@@ -31,24 +41,49 @@ constexpr double kSubnormal = std::numeric_limits<double>::denorm_min();
 constexpr Modulation kAllMods[] = {Modulation::kBpsk, Modulation::kQpsk,
                                    Modulation::kQam16, Modulation::kQam64};
 
+// Empty spans may carry null data, which memcmp must not see.
 bool same_bits(std::span<const double> a, std::span<const double> b) {
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+bool same_points(std::span<const Cx> a, std::span<const Cx> b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(Cx)) == 0);
+}
+
+constexpr CodeRate kAllRates[] = {CodeRate::kRate1of2, CodeRate::kRate2of3,
+                                  CodeRate::kRate3of4};
+
+// A bit stream whose every third byte also sets high bits, which every
+// kernel must ignore as the per-bit loops' `& 1` does.
+Bits noisy_bits(Rng& rng, std::size_t n) {
+  Bits bits = rng.bits(n);
+  for (std::size_t i = 0; i < n; i += 3) {
+    bits[i] =
+        static_cast<std::uint8_t>(bits[i] | (rng.uniform_int(1, 127) << 1));
+  }
+  return bits;
+}
+
+// LLRs mixing Gaussians with exact zeros, -0.0, NaN and +-inf.
+std::vector<double> special_llrs(Rng& rng, std::size_t n) {
+  std::vector<double> llrs(n);
+  for (auto& v : llrs) {
+    switch (rng.uniform_int(0, 9)) {
+      case 0: v = 0.0; break;
+      case 1: v = -0.0; break;
+      case 2: v = kNan; break;
+      case 3: v = rng.uniform() < 0.5 ? kInf : -kInf; break;
+      default: v = rng.gaussian(); break;
+    }
+  }
+  return llrs;
 }
 
 // --- Oracles ---------------------------------------------------------------
-
-Bits oracle_encode(std::span<const std::uint8_t> bits) {
-  Bits out;
-  int state = 0;
-  for (const std::uint8_t bit : bits) {
-    const std::uint8_t ab = conv_output(state, bit);
-    out.push_back(static_cast<std::uint8_t>(ab & 1U));
-    out.push_back(static_cast<std::uint8_t>((ab >> 1) & 1U));
-    state = conv_next_state(state, bit);
-  }
-  return out;
-}
 
 constexpr std::array<double, 2> kPam2 = {-1.0, 1.0};
 constexpr std::array<double, 4> kPam4 = {-3.0, -1.0, 3.0, 1.0};
@@ -170,7 +205,7 @@ TEST(CodingKernels, EncoderMatchesPerBitLoopAtEdgeLengths) {
   Rng rng(101);
   for (const std::size_t n : {0u, 1u, 7u, 13344u}) {
     const Bits input = rng.bits(n);
-    EXPECT_EQ(convolutional_encode(input), oracle_encode(input)) << n;
+    EXPECT_EQ(convolutional_encode(input), bit_reference::encode(input)) << n;
   }
 }
 
@@ -185,7 +220,7 @@ TEST(CodingKernels, EncoderMatchesPerBitLoopOnRandomStreams) {
       for (auto& b : input) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
     }
     convolutional_encode_into(input, out);  // reused buffer
-    ASSERT_EQ(out, oracle_encode(input)) << "trial " << trial;
+    ASSERT_EQ(out, bit_reference::encode(input)) << "trial " << trial;
   }
 }
 
@@ -368,36 +403,43 @@ TEST(CodingKernels, HardDecisionsMarkNegativeLlrs) {
 }
 
 TEST(CodingKernels, CorrectedBitCountMatchesBranchyLoop) {
-  // The OBS corrected-bit recount against the branchy loop: re-encode,
-  // puncture, count non-erased hard-decision mismatches.
+  // The OBS corrected-bit count (rate-1/2 re-encode against the
+  // mother-code decoder input, punctured positions as zeros) against the
+  // per-bit loop over the punctured stream: re-encode, puncture, count
+  // non-erased hard-decision mismatches.
   Rng rng(109);
-  PhyWorkspace ws;
-  for (const CodeRate rate : {CodeRate::kRate1of2, CodeRate::kRate2of3,
-                              CodeRate::kRate3of4}) {
-    for (int trial = 0; trial < 20; ++trial) {
-      const Bits decoded = rng.bits(6 * static_cast<std::size_t>(
-                                            rng.uniform_int(1, 300)));
-      const Bits recoded = oracle_puncture(oracle_encode(decoded), rate);
-      // Decoder input: shorter, equal or longer than the recode.
-      std::vector<double> input(recoded.size() +
-                                static_cast<std::size_t>(trial % 3) * 5 - 5);
-      for (auto& v : input) {
-        switch (rng.uniform_int(0, 5)) {
-          case 0: v = 0.0; break;
-          case 1: v = -0.0; break;
-          case 2: v = kNan; break;
-          default: v = rng.gaussian(); break;
-        }
-      }
-      std::uint64_t expected = 0;
-      const std::size_t n = std::min(recoded.size(), input.size());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (input[i] != 0.0 && (input[i] < 0.0 ? 1 : 0) != recoded[i]) {
-          ++expected;
-        }
-      }
-      EXPECT_EQ(count_corrected_bits(decoded, rate, input, ws), expected);
-      EXPECT_EQ(ws.recoded, recoded);
+  for (const CodeRate rate : kAllRates) {
+    const std::size_t period = rate == CodeRate::kRate1of2   ? 2
+                               : rate == CodeRate::kRate2of3 ? 4
+                                                             : 6;
+    for (int trial = 0; trial < 30; ++trial) {
+      const Bits decoded = noisy_bits(
+          rng, 6 * static_cast<std::size_t>(rng.uniform_int(0, 300)) +
+                   static_cast<std::size_t>(trial % 7));
+      // Decoder input: shorter, equal or longer than the recode, by
+      // whole puncturing periods.
+      const std::size_t whole = 2 * decoded.size() / period * period;
+      const std::size_t mother_size =
+          std::max<std::ptrdiff_t>(0, static_cast<std::ptrdiff_t>(whole) +
+                                          (trial % 3 - 1) * 4 *
+                                              static_cast<std::ptrdiff_t>(period));
+      const std::vector<double> punctured = special_llrs(
+          rng, punctured_length(mother_size, rate));
+      const Llrs mother = depuncture_llrs(punctured, rate, mother_size);
+      EXPECT_EQ(count_corrected_bits(decoded, mother),
+                bit_reference::corrected_bits(decoded, rate, punctured))
+          << "trial " << trial;
+    }
+  }
+  // Rate 1/2 at every length against every input length near it.
+  for (std::size_t n = 0; n < 24; ++n) {
+    const Bits decoded = noisy_bits(rng, n);
+    for (std::size_t m = 0; m < 2 * n + 3; ++m) {
+      const std::vector<double> llrs = special_llrs(rng, m);
+      ASSERT_EQ(count_corrected_bits(decoded, llrs),
+                bit_reference::corrected_bits(decoded, CodeRate::kRate1of2,
+                                              llrs))
+          << n << " " << m;
     }
   }
 }
@@ -406,19 +448,38 @@ TEST(CodingKernels, CorrectedBitCountMatchesBranchyLoop) {
 
 TEST(CodingKernels, CachedScramblerMatchesRegisterForEverySeed) {
   Rng rng(107);
-  Bits got;
   for (std::uint8_t seed = 1; seed < 128; ++seed) {
+    const std::span<const std::uint8_t> key = Scrambler::keystream_cached(seed);
+    ASSERT_EQ(key.size(), Scrambler::kKeystreamPeriod + 7);
+    const Bits sequence = Scrambler::sequence(seed, 8 * key.size());
+    ASSERT_EQ(Bytes(key.begin(), key.end()), bit_reference::pack_bits(sequence))
+        << "seed " << int{seed};
+    // xor_keystream from any phase against the register on the unpacked
+    // octets.
     for (const std::size_t n : {0u, 1u, 7u, 8u, 9u, 126u, 127u, 128u, 135u,
                                 300u, 1001u}) {
-      Bits plain = rng.bits(n);
-      if (n % 3 == 0) {
-        for (auto& b : plain) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
-      }
-      Scrambler::apply_with_seed_into(seed, plain, got);
-      ASSERT_EQ(got, Scrambler(seed).apply(plain))
-          << "seed " << int{seed} << " n " << n;
+      const auto first = static_cast<std::size_t>(rng.uniform_int(0, 400));
+      Bytes octets = rng.bytes(n);
+      Bits prefix(8 * first, 0);
+      Bits unpacked = bytes_to_bits(octets);
+      prefix.insert(prefix.end(), unpacked.begin(), unpacked.end());
+      const Bits want = Scrambler(seed).apply(prefix);
+      Scrambler::xor_keystream(seed, first, octets);
+      ASSERT_EQ(octets,
+                bit_reference::pack_bits(std::span(want).subspan(8 * first)))
+          << "seed " << int{seed} << " n " << n << " first " << first;
     }
   }
+}
+
+TEST(CodingKernels, SeedRecoveryMatchesRegisterSearch) {
+  for (std::uint8_t seed = 1; seed < 128; ++seed) {
+    Bits first7 = Scrambler::sequence(seed, 7);
+    first7[3] = static_cast<std::uint8_t>(first7[3] | 0xF0);
+    EXPECT_EQ(Scrambler::recover_seed(first7), seed);
+  }
+  EXPECT_THROW(Scrambler::recover_seed(Bits(7, 0)), std::runtime_error);
+  EXPECT_THROW(Scrambler::recover_seed(Bits(6, 1)), std::invalid_argument);
 }
 
 TEST(CodingKernels, PunctureMatchesPushBackLoop) {
@@ -433,6 +494,208 @@ TEST(CodingKernels, PunctureMatchesPushBackLoop) {
       EXPECT_EQ(punctured_length(n, rate), got.size());
     }
   }
+}
+
+// --- Bit path: transmitter ---------------------------------------------------
+
+TEST(CodingKernels, EncodePuncturedMatchesPerBitChain) {
+  // Every rate at every short length (partial final steps included) and
+  // at random long ones; the packed input's unused high bits are set.
+  Rng rng(110);
+  for (const CodeRate rate : kAllRates) {
+    std::vector<std::size_t> lengths;
+    for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+    for (int i = 0; i < 20; ++i) {
+      lengths.push_back(static_cast<std::size_t>(rng.uniform_int(65, 33000)));
+    }
+    for (const std::size_t n : lengths) {
+      const Bits bits = noisy_bits(rng, n);
+      Bytes packed((n + 7) / 8, 0xFF);
+      for (std::size_t i = 0; i < n; ++i) {
+        if ((bits[i] & 1U) == 0) {
+          packed[i / 8] =
+              static_cast<std::uint8_t>(packed[i / 8] & ~(1U << (i % 8)));
+        }
+      }
+      Bits coded(punctured_length(2 * n, rate), 7);
+      encode_punctured(packed, n, rate, coded);
+      ASSERT_EQ(coded, puncture(bit_reference::encode(bits), rate))
+          << to_string(rate) << " n " << n;
+    }
+  }
+  Bits wrong(3);
+  EXPECT_THROW(encode_punctured(Bytes(1), 8, CodeRate::kRate1of2, wrong),
+               std::invalid_argument);
+}
+
+TEST(CodingKernels, InterleaveMapMatchesScatterThenMap) {
+  Rng rng(111);
+  for (const Mcs& mcs : all_mcs()) {
+    for (const std::size_t symbols : {1u, 2u, 7u, 40u}) {
+      const Bits coded =
+          noisy_bits(rng, symbols * static_cast<std::size_t>(mcs.n_cbps));
+      CxVec got(symbols * kNumDataSubcarriers);
+      interleave_map_into(coded, mcs, got);
+      CxVec want(got.size());
+      map_bits_into(interleave(coded, mcs), mcs.modulation, want);
+      EXPECT_TRUE(same_points(got, want))
+          << mcs.data_rate_mbps << " Mb/s, " << symbols << " symbols";
+    }
+    CxVec short_cells(kNumDataSubcarriers - 1);
+    EXPECT_THROW(interleave_map_into(Bits(static_cast<std::size_t>(mcs.n_cbps)),
+                                     mcs, short_cells),
+                 std::invalid_argument);
+  }
+}
+
+TEST(CodingKernels, BuildFrameMatchesPerBitChain) {
+  // All eight MCS over PSDU lengths 1 to 4095 octets, the edges included,
+  // and several scrambler seeds: the coded stream and the grid equal the
+  // per-bit chain's.
+  Rng rng(112);
+  std::vector<std::size_t> lengths = {1,   2,   3,    4,    5,    7,   8,
+                                      9,   15,  16,   17,   26,   27,  100,
+                                      255, 256, 1023, 1500, 2304, 4094, 4095};
+  for (int i = 0; i < 6; ++i) {
+    lengths.push_back(static_cast<std::size_t>(rng.uniform_int(1, 4095)));
+  }
+  const std::uint8_t seeds[] = {0x5D, 1, 0x7F, 0x2B};
+  int k = 0;
+  for (const Mcs& mcs : all_mcs()) {
+    for (const std::size_t n : lengths) {
+      const Bytes psdu = rng.bytes(n);
+      const std::uint8_t seed = seeds[k++ % 4];
+      const TxFrame frame = build_frame(psdu, mcs, seed);
+      Bits coded;
+      SymbolGrid grid;
+      bit_reference::build_frame_bits(psdu, mcs, seed, coded, grid);
+      ASSERT_EQ(frame.coded_bits, coded) << mcs.data_rate_mbps << " n " << n;
+      ASSERT_EQ(frame.data_grid.width(), grid.width());
+      ASSERT_TRUE(same_points(frame.data_grid.cells(), grid.cells()))
+          << mcs.data_rate_mbps << " n " << n;
+    }
+  }
+}
+
+// --- Bit path: receiver -------------------------------------------------------
+
+TEST(CodingKernels, DeinterleaveDepunctureMatchesTwoPasses) {
+  Rng rng(113);
+  for (const Mcs& mcs : all_mcs()) {
+    for (const std::size_t symbols : {0u, 1u, 3u, 25u}) {
+      const std::vector<double> llrs =
+          special_llrs(rng, symbols * static_cast<std::size_t>(mcs.n_cbps));
+      Llrs got = {1.0, 2.0, 3.0};  // resized, not appended
+      deinterleave_depuncture_into(llrs, mcs, got);
+      std::vector<double> deinterleaved;
+      Llrs want;
+      bit_reference::decoder_input(llrs, mcs, deinterleaved, want);
+      EXPECT_TRUE(same_bits(got, want))
+          << mcs.data_rate_mbps << " Mb/s, " << symbols << " symbols";
+    }
+    Llrs out;
+    EXPECT_THROW(deinterleave_depuncture_into(
+                     std::vector<double>(static_cast<std::size_t>(mcs.n_cbps) + 1),
+                     mcs, out),
+                 std::invalid_argument);
+  }
+}
+
+TEST(CodingKernels, DescramblePsduMatchesRegisterThenPack) {
+  Rng rng(114);
+  Bytes got = {9, 9, 9};
+  for (int s = 1; s < 128; s += 3) {
+    const auto seed = static_cast<std::uint8_t>(s);
+    for (const std::size_t n : {0u, 1u, 2u, 124u, 125u, 126u, 127u, 128u, 300u,
+                                4095u}) {
+      const Bits decoded = noisy_bits(
+          rng, 16 + 8 * n + static_cast<std::size_t>(rng.uniform_int(0, 30)));
+      descramble_psdu_into(decoded, seed, n, got);
+      ASSERT_EQ(got, bit_reference::descramble_psdu(decoded, seed, n))
+          << "seed " << int{seed} << " n " << n;
+    }
+  }
+  EXPECT_THROW(descramble_psdu_into(Bits(16 + 8 * 3 - 1), 1, 3, got),
+               std::invalid_argument);
+}
+
+TEST(CodingKernels, PackedOctetsMatchPerBitLoop) {
+  Rng rng(115);
+  for (std::size_t n = 0; n <= 40; ++n) {
+    const Bits bits = noisy_bits(rng, 8 * n);
+    EXPECT_EQ(bits_to_bytes(bits), bit_reference::pack_bits(bits)) << n;
+  }
+}
+
+TEST(CodingKernels, Crc32MatchesBytewiseLoop) {
+  Rng rng(116);
+  for (std::size_t n = 0; n <= 100; ++n) {
+    const Bytes data = rng.bytes(n);
+    ASSERT_EQ(crc32(data), bit_reference::crc32(data)) << n;
+  }
+  for (const std::size_t n : {1499u, 4091u, 4095u}) {
+    Bytes frame = rng.bytes(n);
+    EXPECT_EQ(crc32(frame), bit_reference::crc32(frame)) << n;
+    append_fcs(frame);
+    EXPECT_TRUE(check_fcs(frame));
+    frame[n / 2] ^= 0x10;
+    EXPECT_FALSE(check_fcs(frame));
+  }
+}
+
+TEST(CodingKernels, DecodeMatchesPerBitTail) {
+  // decode_data_symbols on noisy frames of every MCS, with and without
+  // EVD erasures: its decoder input, decoded bits, PSDU and CRC verdict
+  // equal the per-bit tail's run on the same demapped LLRs.
+  Rng rng(117);
+  const ViterbiDecoder decoder;
+  int decoded_frames = 0;
+  for (const Mcs& mcs : all_mcs()) {
+    for (const double snr_db : {40.0, 20.0, 12.0}) {
+      Bytes psdu = rng.bytes(static_cast<std::size_t>(rng.uniform_int(20, 400)));
+      append_fcs(psdu);
+      CxVec samples = frame_to_samples(build_frame(psdu, mcs, 0x11));
+      const double sigma2 = std::pow(10.0, -snr_db / 10.0);
+      for (Cx& x : samples) x += rng.complex_gaussian(sigma2);
+      PhyWorkspace ws;
+      const FrontEndResult fe = receiver_front_end(samples, ws);
+      if (!fe.signal) continue;
+      ++decoded_frames;
+      SilenceMask mask(fe.data_bins.size(),
+                       std::vector<std::uint8_t>(kNumDataSubcarriers, 0));
+      for (auto& row : mask) {
+        row[static_cast<std::size_t>(rng.uniform_int(0, 47))] = 1;
+      }
+      for (const SilenceMask* silence : {static_cast<const SilenceMask*>(nullptr),
+                                         static_cast<const SilenceMask*>(&mask)}) {
+        const DecodeResult got = decode_data_symbols(
+            fe, mcs, static_cast<int>(psdu.size()), silence, ws);
+        std::vector<double> deinterleaved;
+        Llrs mother;
+        bit_reference::decoder_input(ws.llrs, mcs, deinterleaved, mother);
+        EXPECT_TRUE(same_bits(ws.mother, mother)) << mcs.data_rate_mbps;
+        const Bits decoded = decoder.decode_fixed(mother, false);
+        EXPECT_EQ(ws.scrambled, decoded) << mcs.data_rate_mbps;
+        EXPECT_EQ(count_corrected_bits(decoded, ws.mother),
+                  bit_reference::corrected_bits(decoded, mcs.code_rate,
+                                                deinterleaved));
+        const std::uint8_t seed = Scrambler::recover_seed(decoded);
+        EXPECT_EQ(got.scrambler_seed, seed);
+        const Bytes want =
+            bit_reference::descramble_psdu(decoded, seed, psdu.size());
+        EXPECT_EQ(got.psdu, want) << mcs.data_rate_mbps << " at " << snr_db;
+        const std::uint32_t fcs = bit_reference::crc32(
+            std::span(want).first(want.size() - 4));
+        bool fcs_ok = true;
+        for (std::size_t i = 0; i < 4; ++i) {
+          fcs_ok = fcs_ok && want[want.size() - 4 + i] ==
+                                 static_cast<std::uint8_t>(fcs >> (8 * i));
+        }
+        EXPECT_EQ(got.crc_ok, fcs_ok) << mcs.data_rate_mbps << " at " << snr_db;
+      }
+    }
+  }
+  EXPECT_GE(decoded_frames, 16);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include "channel/fading.h"
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "phy/puncture.h"
 #include "phy/receiver.h"
 #include "phy/transmitter.h"
+#include "phy/workspace.h"
 
 namespace silence {
 namespace {
@@ -127,13 +129,19 @@ TEST(Loopback, DecoderInputHardBitsMatchCodedStreamWhenClean) {
   const Mcs& mcs = mcs_for_rate(36);
   const TxFrame frame = build_frame(psdu, mcs);
   const CxVec samples = frame_to_samples(frame);
-  const FrontEndResult fe = receiver_front_end(samples);
+  PhyWorkspace ws;
+  const FrontEndResult fe = receiver_front_end(samples, ws);
   ASSERT_TRUE(fe.signal.has_value());
   const DecodeResult decode =
-      decode_data_symbols(fe, mcs, static_cast<int>(psdu.size()));
-  ASSERT_EQ(decode.decoder_input_hard.size(), frame.coded_bits.size());
-  EXPECT_EQ(hamming_distance(decode.decoder_input_hard, frame.coded_bits),
-            0u);
+      decode_data_symbols(fe, mcs, static_cast<int>(psdu.size()), nullptr, ws);
+  EXPECT_TRUE(decode.crc_ok);
+  // The decoder input is left in ws.mother in mother-code order; punctured
+  // back, its hard decisions are the transmitted coded stream.
+  Bits hard;
+  hard_decisions_into(ws.mother, hard);
+  const Bits decoder_input_hard = puncture(hard, mcs.code_rate);
+  ASSERT_EQ(decoder_input_hard.size(), frame.coded_bits.size());
+  EXPECT_EQ(hamming_distance(decoder_input_hard, frame.coded_bits), 0u);
 }
 
 TEST(Loopback, PsduSizeLimits) {

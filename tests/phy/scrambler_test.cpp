@@ -9,7 +9,7 @@ namespace {
 
 TEST(Scrambler, RejectsZeroSeed) {
   EXPECT_THROW(Scrambler(0), std::invalid_argument);
-  EXPECT_THROW(Scrambler::period_cached(0), std::invalid_argument);
+  EXPECT_THROW(Scrambler::keystream_cached(0), std::invalid_argument);
 }
 
 TEST(Scrambler, AllOnesSeedKnownPrefix) {

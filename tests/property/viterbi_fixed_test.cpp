@@ -11,6 +11,7 @@
 #include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -195,7 +196,7 @@ TEST(ViterbiFixedEquivalence, OversizeInputFallsBackToExact) {
 
 // --- Kernels against their oracles ------------------------------------------
 //
-// quantize_llrs()'s SSE2 fast path and each compiled add-compare-select
+// quantize_llrs()'s AVX2 fast path and each compiled add-compare-select
 // kernel, reached through phy/viterbi_kernels.h.
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -241,11 +242,9 @@ bool expect_quantize_matches(const std::vector<double>& llrs,
   return took_fast;
 }
 
-#if defined(__SSE2__)
-constexpr bool kHasFastQuantizer = true;
-#else
-constexpr bool kHasFastQuantizer = false;
-#endif
+// The AVX2 quantizer runs only on CPUs that have AVX2.
+const bool kHasFastQuantizer =
+    std::string_view(viterbi_kernels::quantize_kernel_name()) != "scalar";
 
 TEST(QuantizeKernel, AllZerosStayZero) {
   for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 64u}) {
